@@ -1,10 +1,13 @@
 #include "sim/workload.hpp"
 
+#include <algorithm>
 #include <array>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
+#include <iterator>
 #include <set>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "util/json.hpp"
@@ -198,25 +201,85 @@ std::int64_t trace_int(const util::JsonValue& v, const char* key,
   }
 }
 
+/// A message line's five fields, in the order to_trace() writes them.
+using MessageFields = std::array<std::int64_t, 5>;
+constexpr std::array<const char*, 5> kMessageNames = {
+    "rank", "phase", "dst", "packets", "release"};
+/// What to_trace() writes before each field's value.
+constexpr std::array<std::string_view, 5> kMessageKeys = {
+    "{\"rank\":", ",\"phase\":", ",\"dst\":", ",\"packets\":",
+    ",\"release\":"};
+/// A PF q=13 all-to-all line's length, rounded up: to_trace()'s reserve.
+constexpr std::size_t kTypicalLine = 64;
+
+/// Reads `line` when its bytes are exactly a line to_trace() writes:
+/// fixed key order, no whitespace, every value -?(0|[1-9][0-9]{0,17})
+/// (18 digits cannot overflow; a 19th fails the next key's match).
+/// Returns false on anything else, which the caller hands to the JSON
+/// reader, so the accepted language and every error message stay the
+/// JSON path's.
+bool scan_message(std::string_view line, MessageFields& out) {
+  const auto is_digit = [line](std::size_t i) {
+    return i < line.size() && line[i] >= '0' && line[i] <= '9';
+  };
+  std::size_t pos = 0;
+  for (std::size_t k = 0; k < kMessageKeys.size(); ++k) {
+    if (!line.substr(pos).starts_with(kMessageKeys[k])) return false;
+    pos += kMessageKeys[k].size();
+    const bool negative = pos < line.size() && line[pos] == '-';
+    if (negative) ++pos;
+    const std::size_t first = pos;
+    std::int64_t value = 0;
+    while (pos - first < 18 && is_digit(pos)) {
+      value = value * 10 + (line[pos++] - '0');
+    }
+    if (pos == first || (line[first] == '0' && pos - first > 1)) {
+      return false;
+    }
+    out[k] = negative ? -value : value;
+  }
+  return line.substr(pos) == "}";
+}
+
 }  // namespace
 
 void Workload::init(int ranks, int phases) {
   ranks_ = ranks;
   phases_ = phases;
-  sends_.assign(
-      static_cast<std::size_t>(ranks) * static_cast<std::size_t>(phases), {});
-  expect_.assign(
-      static_cast<std::size_t>(ranks) * static_cast<std::size_t>(phases), 0);
+  const std::size_t slots =
+      static_cast<std::size_t>(ranks) * static_cast<std::size_t>(phases);
+  offsets_.assign(slots + 1, 0);
+  expect_.assign(slots, 0);
 }
 
 void Workload::add(int rank, int phase, int dst, int packets,
                    std::int64_t release) {
-  sends_[static_cast<std::size_t>(rank) * static_cast<std::size_t>(phases_) +
-         static_cast<std::size_t>(phase)]
-      .push_back({dst, packets, release});
-  expect_[static_cast<std::size_t>(dst) * static_cast<std::size_t>(phases_) +
-          static_cast<std::size_t>(phase)] += packets;
+  slots_.push_back(slot(rank, phase));
+  append(rank, phase, dst, packets, release);
+}
+
+void Workload::append(int rank, int phase, int dst, int packets,
+                      std::int64_t release) {
+  msgs_.push_back({dst, packets, release});
+  ++offsets_[slot(rank, phase) + 1];
+  expect_[slot(dst, phase)] += packets;
   total_packets_ += packets;
+}
+
+void Workload::finish() {
+  for (std::size_t s = 1; s < offsets_.size(); ++s) {
+    offsets_[s] += offsets_[s - 1];
+  }
+  if (!std::is_sorted(slots_.begin(), slots_.end())) {
+    // Stable counting sort: each slot's messages keep their add() order.
+    std::vector<std::size_t> next(offsets_.begin(), offsets_.end() - 1);
+    std::vector<WorkloadMessage> grouped(msgs_.size());
+    for (std::size_t i = 0; i < msgs_.size(); ++i) {
+      grouped[next[slots_[i]]++] = msgs_[i];
+    }
+    msgs_ = std::move(grouped);
+  }
+  slots_ = {};
 }
 
 std::shared_ptr<const Workload> Workload::make(const std::string& spec,
@@ -382,6 +445,7 @@ std::shared_ptr<const Workload> Workload::make(const std::string& spec,
     spec_fail(spec, "unknown workload \"" + base + "\"");
   }
   params.done();
+  w->finish();
   return w;
 }
 
@@ -391,21 +455,25 @@ bool workload_uses_seed(const std::string& spec) {
 }
 
 std::string Workload::to_trace() const {
-  std::string out;
-  out += "{\"schema\":\"polarfly-trace/1\",\"workload\":\"" +
-         util::JsonWriter::escape(name_) +
-         "\",\"ranks\":" + std::to_string(ranks_) +
-         ",\"phases\":" + std::to_string(phases_) + "}\n";
-  char buf[160];
+  std::string out =
+      "{\"schema\":\"polarfly-trace/1\",\"workload\":\"" +
+      util::JsonWriter::escape(name_) +
+      "\",\"ranks\":" + std::to_string(ranks_) +
+      ",\"phases\":" + std::to_string(phases_) + "}\n";
+  out.reserve(out.size() + msgs_.size() * kTypicalLine);
+  char buf[160];  // keys, five 20-character values, "}\n"
   for (int r = 0; r < ranks_; ++r) {
     for (int p = 0; p < phases_; ++p) {
       for (const WorkloadMessage& m : sends(r, p)) {
-        const int n = std::snprintf(
-            buf, sizeof buf,
-            "{\"rank\":%d,\"phase\":%d,\"dst\":%d,\"packets\":%d,"
-            "\"release\":%lld}\n",
-            r, p, m.dst, m.packets, static_cast<long long>(m.release));
-        if (n > 0) out.append(buf, static_cast<std::size_t>(n));
+        const MessageFields fields = {r, p, m.dst, m.packets, m.release};
+        char* at = buf;
+        for (std::size_t k = 0; k < fields.size(); ++k) {
+          at = std::copy(kMessageKeys[k].begin(), kMessageKeys[k].end(), at);
+          at = std::to_chars(at, std::end(buf), fields[k]).ptr;
+        }
+        *at++ = '}';
+        *at++ = '\n';
+        out.append(buf, at);
       }
     }
   }
@@ -422,78 +490,84 @@ std::shared_ptr<const Workload> Workload::from_trace(
   int last_rank = -1;
   int last_phase = 0;
   std::int64_t last_release = 0;
+  const std::string_view doc(text);
   std::size_t pos = 0;
   int lineno = 0;
-  while (pos < text.size()) {
-    const auto nl = text.find('\n', pos);
-    const std::string line = text.substr(
-        pos, nl == std::string::npos ? std::string::npos : nl - pos);
-    pos = nl == std::string::npos ? text.size() : nl + 1;
+  MessageFields fields;
+  while (pos < doc.size()) {
+    const std::size_t nl = std::min(doc.find('\n', pos), doc.size());
+    const std::string_view line = doc.substr(pos, nl - pos);
+    pos = nl + 1;
     ++lineno;
     if (line.empty()) trace_fail(context, lineno, "empty line");
-    util::JsonValue v;
-    try {
-      v = util::json_parse(line);
-    } catch (const util::JsonError& e) {
-      trace_fail(context, lineno, e.what());
-    }
-    if (!v.is_object()) {
-      trace_fail(context, lineno, "expected a JSON object");
-    }
-    if (!have_header) {
+    // Canonical message lines are scanned in place; the header and every
+    // other line take the JSON reader.
+    if (!have_header || !scan_message(line, fields)) {
+      util::JsonValue v;
+      try {
+        v = util::json_parse(std::string(line));
+      } catch (const util::JsonError& e) {
+        trace_fail(context, lineno, e.what());
+      }
+      if (!v.is_object()) {
+        trace_fail(context, lineno, "expected a JSON object");
+      }
+      if (!have_header) {
+        for (const auto& [key, value] : v.members()) {
+          (void)value;
+          if (key != "schema" && key != "workload" && key != "ranks" &&
+              key != "phases") {
+            trace_fail(context, lineno,
+                       "unknown header key \"" + key + "\"");
+          }
+        }
+        const util::JsonValue* schema = v.find("schema");
+        if (schema == nullptr || !schema->is_string() ||
+            schema->as_string() != "polarfly-trace/1") {
+          trace_fail(context, lineno,
+                     "expected schema \"polarfly-trace/1\" in the header");
+        }
+        const util::JsonValue* name = v.find("workload");
+        if (name == nullptr || !name->is_string() ||
+            name->as_string().empty()) {
+          trace_fail(context, lineno,
+                     "header key \"workload\" must be a non-empty string");
+        }
+        workload_name = name->as_string();
+        const std::int64_t r64 = trace_int(v, "ranks", context, lineno);
+        const std::int64_t p64 = trace_int(v, "phases", context, lineno);
+        if (r64 < 2 || r64 > kMaxParam) {
+          trace_fail(context, lineno,
+                     "ranks = " + std::to_string(r64) + " out of range [2, " +
+                         std::to_string(kMaxParam) + "]");
+        }
+        if (p64 < 1 || p64 > kMaxParam) {
+          trace_fail(context, lineno,
+                     "phases = " + std::to_string(p64) +
+                         " out of range [1, " + std::to_string(kMaxParam) +
+                         "]");
+        }
+        if (r64 * p64 > (std::int64_t{1} << 26)) {
+          trace_fail(context, lineno, "ranks * phases exceeds 2^26");
+        }
+        ranks = static_cast<int>(r64);
+        phases = static_cast<int>(p64);
+        w->init(ranks, phases);
+        have_header = true;
+        continue;
+      }
       for (const auto& [key, value] : v.members()) {
         (void)value;
-        if (key != "schema" && key != "workload" && key != "ranks" &&
-            key != "phases") {
-          trace_fail(context, lineno, "unknown header key \"" + key + "\"");
+        if (std::find(kMessageNames.begin(), kMessageNames.end(), key) ==
+            kMessageNames.end()) {
+          trace_fail(context, lineno, "unknown key \"" + key + "\"");
         }
       }
-      const util::JsonValue* schema = v.find("schema");
-      if (schema == nullptr || !schema->is_string() ||
-          schema->as_string() != "polarfly-trace/1") {
-        trace_fail(context, lineno,
-                   "expected schema \"polarfly-trace/1\" in the header");
-      }
-      const util::JsonValue* name = v.find("workload");
-      if (name == nullptr || !name->is_string() ||
-          name->as_string().empty()) {
-        trace_fail(context, lineno,
-                   "header key \"workload\" must be a non-empty string");
-      }
-      workload_name = name->as_string();
-      const std::int64_t r64 = trace_int(v, "ranks", context, lineno);
-      const std::int64_t p64 = trace_int(v, "phases", context, lineno);
-      if (r64 < 2 || r64 > kMaxParam) {
-        trace_fail(context, lineno,
-                   "ranks = " + std::to_string(r64) + " out of range [2, " +
-                       std::to_string(kMaxParam) + "]");
-      }
-      if (p64 < 1 || p64 > kMaxParam) {
-        trace_fail(context, lineno,
-                   "phases = " + std::to_string(p64) +
-                       " out of range [1, " + std::to_string(kMaxParam) + "]");
-      }
-      if (r64 * p64 > (std::int64_t{1} << 26)) {
-        trace_fail(context, lineno, "ranks * phases exceeds 2^26");
-      }
-      ranks = static_cast<int>(r64);
-      phases = static_cast<int>(p64);
-      w->init(ranks, phases);
-      have_header = true;
-      continue;
-    }
-    for (const auto& [key, value] : v.members()) {
-      (void)value;
-      if (key != "rank" && key != "phase" && key != "dst" &&
-          key != "packets" && key != "release") {
-        trace_fail(context, lineno, "unknown key \"" + key + "\"");
+      for (std::size_t k = 0; k < fields.size(); ++k) {
+        fields[k] = trace_int(v, kMessageNames[k], context, lineno);
       }
     }
-    const std::int64_t rank = trace_int(v, "rank", context, lineno);
-    const std::int64_t phase = trace_int(v, "phase", context, lineno);
-    const std::int64_t dst = trace_int(v, "dst", context, lineno);
-    const std::int64_t packets = trace_int(v, "packets", context, lineno);
-    const std::int64_t release = trace_int(v, "release", context, lineno);
+    const auto [rank, phase, dst, packets, release] = fields;
     if (rank < 0 || rank >= ranks) {
       trace_fail(context, lineno,
                  "rank " + std::to_string(rank) + " out of range [0, " +
@@ -548,13 +622,14 @@ std::shared_ptr<const Workload> Workload::from_trace(
     } else {
       last_release = release;
     }
-    w->add(static_cast<int>(rank), static_cast<int>(phase),
-           static_cast<int>(dst), static_cast<int>(packets), release);
+    w->append(static_cast<int>(rank), static_cast<int>(phase),
+              static_cast<int>(dst), static_cast<int>(packets), release);
   }
   if (!have_header) {
     trace_fail(context, 1, "missing polarfly-trace/1 header");
   }
   w->name_ = workload_name;
+  w->finish();
   return w;
 }
 

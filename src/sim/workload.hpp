@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,13 @@ struct WorkloadMessage {
 
 /// An immutable compiled workload. Ranks are terminal indices; the
 /// network asserts num_ranks() matches its terminal count.
+///
+/// Storage is flat: every message lives in one contiguous array grouped
+/// by slot `rank * phases + phase` (slots ascending, injection order
+/// within a slot), and `offsets_[s]..offsets_[s + 1]` delimits slot s.
+/// Generators add() in any slot order and finish() restores grouping
+/// with one stable counting sort; from_trace() appends directly because
+/// a valid trace already arrives rank-major and phase-ascending.
 class Workload {
  public:
   /// Compiles `spec` ("name" or "name:key=value,..."). Known names:
@@ -40,7 +48,10 @@ class Workload {
 
   /// Parses a polarfly-trace/1 JSONL document. Errors are prefixed
   /// "<context> line N: ..." and reject torn lines, unknown keys,
-  /// out-of-range ranks, self-sends, and time-travel orderings.
+  /// out-of-range ranks, self-sends, and time-travel orderings. Message
+  /// lines in the exact byte layout to_trace() writes are scanned in
+  /// place; every other line goes through the JSON reader, which alone
+  /// defines the accepted language and its error messages.
   static std::shared_ptr<const Workload> from_trace(
       const std::string& text, const std::string& context);
 
@@ -52,18 +63,16 @@ class Workload {
   int num_ranks() const { return ranks_; }
   int num_phases() const { return phases_; }
 
-  /// Messages rank must send in `phase`, in injection order.
-  const std::vector<WorkloadMessage>& sends(int rank, int phase) const {
-    return sends_[static_cast<std::size_t>(rank) *
-                      static_cast<std::size_t>(phases_) +
-                  static_cast<std::size_t>(phase)];
+  /// Messages rank must send in `phase`, in injection order: a view
+  /// into the flat message array, valid as long as the workload.
+  std::span<const WorkloadMessage> sends(int rank, int phase) const {
+    const std::size_t s = slot(rank, phase);
+    return {msgs_.data() + offsets_[s], offsets_[s + 1] - offsets_[s]};
   }
 
   /// Packets rank must receive before leaving `phase`.
   std::int64_t expected_recv(int rank, int phase) const {
-    return expect_[static_cast<std::size_t>(rank) *
-                       static_cast<std::size_t>(phases_) +
-                   static_cast<std::size_t>(phase)];
+    return expect_[slot(rank, phase)];
   }
 
   /// Total packets across every rank and phase.
@@ -77,16 +86,33 @@ class Workload {
  private:
   Workload() = default;
 
-  /// Sizes the per-(rank, phase) tables before any add().
+  std::size_t slot(int rank, int phase) const {
+    return static_cast<std::size_t>(rank) *
+               static_cast<std::size_t>(phases_) +
+           static_cast<std::size_t>(phase);
+  }
+
+  /// Sizes the per-slot tables before any add() or append().
   void init(int ranks, int phases);
-  /// Appends one message and maintains the receive expectation table.
+  /// Generator entry: append() in any slot order, remembering the slot
+  /// so finish() can regroup.
   void add(int rank, int phase, int dst, int packets, std::int64_t release);
+  /// Appends one message, counts it toward its slot, and maintains the
+  /// receive expectation table. Callers that skip add() must append in
+  /// ascending slot order.
+  void append(int rank, int phase, int dst, int packets,
+              std::int64_t release);
+  /// Turns slot counts into offsets and, after add(), stably sorts the
+  /// messages into slot order.
+  void finish();
 
   std::string name_;
   int ranks_ = 0;
   int phases_ = 0;
-  std::vector<std::vector<WorkloadMessage>> sends_;  ///< rank * phases + phase
-  std::vector<std::int64_t> expect_;                 ///< rank * phases + phase
+  std::vector<WorkloadMessage> msgs_;  ///< grouped by slot
+  std::vector<std::size_t> offsets_;   ///< slots + 1 entries
+  std::vector<std::size_t> slots_;     ///< add() order; empty after finish()
+  std::vector<std::int64_t> expect_;   ///< per slot
   std::int64_t total_packets_ = 0;
 };
 

@@ -2,8 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 namespace pf::util {
@@ -175,12 +175,16 @@ bool write_text_file(const std::string& path, const std::string& content) {
 }
 
 bool read_text_file(const std::string& path, std::string& out) {
+  // One buffer sized from the file. file_size fails on anything but a
+  // regular file (a directory opens fine and only fails to read).
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec) return false;
   std::ifstream file(path, std::ios::binary);
   if (!file) return false;
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  out = buffer.str();
-  return true;
+  out.resize(static_cast<std::size_t>(size));
+  file.read(out.data(), static_cast<std::streamsize>(size));
+  return file.gcount() == static_cast<std::streamsize>(size);
 }
 
 // ---- reader --------------------------------------------------------------

@@ -67,7 +67,8 @@ class JsonWriter {
 /// Writes `content` to `path`, returning false on I/O failure.
 bool write_text_file(const std::string& path, const std::string& content);
 
-/// Reads a whole file into `out`, returning false on I/O failure.
+/// Reads a whole regular file into `out`, returning false when `path` is
+/// missing, not a regular file (a directory, say), or fails to read.
 bool read_text_file(const std::string& path, std::string& out);
 
 // ---- reader --------------------------------------------------------------

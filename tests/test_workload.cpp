@@ -5,6 +5,7 @@
 // errors, and end-to-end completion runs on PF q=7 and a torus.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -21,6 +22,7 @@
 #include "sim/workload.hpp"
 #include "topo/torus.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -315,6 +317,8 @@ TEST(Workload, SpecParsingRejectsAbuse) {
   expect_invalid([] { make("trace", 8); }, "missing parameter \"file\"");
   expect_invalid([] { make("trace:file=/nonexistent/trace.jsonl", 8); },
                  "cannot read trace file");
+  // A directory opens but cannot be read: same error, not an empty trace.
+  expect_invalid([] { make("trace:file=.", 8); }, "cannot read trace file");
   // Canonical names omit defaults and use a fixed parameter order.
   EXPECT_EQ(make("alltoall:packets=1", 8)->name(), "alltoall");
   EXPECT_EQ(make("bursty:gap=128,bursts=2", 8)->name(),
@@ -337,6 +341,49 @@ TEST(WorkloadTrace, ToTraceFromTraceIsBitIdentical) {
     // Re-serialization is byte-identical, which pins every message,
     // order included, and hence every derived receive expectation.
     EXPECT_EQ(replay->to_trace(), text) << spec;
+  }
+}
+
+/// Rewrites every `stride`-th line (from the first) into the documented
+/// spaced layout, sed 's/,"/, "/g; s/":/": /g': valid JSON the in-place
+/// scanner never takes, so those lines go through the JSON reader.
+std::string spaced(const std::string& text, int stride = 1) {
+  std::string out;
+  int line = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    const char next = i + 1 < text.size() ? text[i + 1] : '\0';
+    out += c;
+    if (c == '\n') ++line;
+    if (line % stride != 0) continue;
+    if (c == ',' && next == '"') out += ' ';
+    if (c == '"' && next == ':') {
+      out += ": ";
+      ++i;
+    }
+  }
+  return out;
+}
+
+TEST(WorkloadTrace, CanonicalAndSpacedLayoutsReplayIdentically) {
+  // Both reader paths yield the same workload for every generator: the
+  // canonical bytes (in-place scanner), the spaced form (JSON reader for
+  // every line), and a mix that alternates between the two per line.
+  for (const char* spec :
+       {"alltoall", "alltoall:packets=3", "ring_allreduce", "rd_allreduce",
+        "stencil2d", "stencil3d:iters=2", "bursty:bursts=3,gap=100000000000",
+        "hotspot:bias=80", "incast:targets=2"}) {
+    for (const int n : {7, 12}) {
+      const std::string text = make(spec, n, 99)->to_trace();
+      for (const int stride : {1, 2}) {
+        const std::string wide = spaced(text, stride);
+        ASSERT_NE(wide, text) << spec;
+        EXPECT_EQ(sim::Workload::from_trace(wide, "spaced")->to_trace(), text)
+            << spec << " n=" << n << " stride=" << stride;
+      }
+      EXPECT_EQ(sim::Workload::from_trace(text, "canonical")->to_trace(), text)
+          << spec << " n=" << n;
+    }
   }
 }
 
@@ -402,6 +449,137 @@ TEST(WorkloadTrace, MalformedTracesFailWithLineNumbers) {
          "line 3: phase 0 after phase 1 for rank 0");
   reject(h + trace_msg(0, 0, 1, 1, 5) + trace_msg(0, 0, 2, 1, 3),
          "line 3: release 3 travels back in time (previous release 5)");
+
+  // Lines just outside the canonical layout go to the JSON reader, which
+  // accepts or rejects them as it does any other line.
+  const auto msg = [](const std::string& release,
+                      const std::string& end = "}\n") {
+    return "{\"rank\":0,\"phase\":0,\"dst\":1,\"packets\":1,\"release\":" +
+           release + end;
+  };
+  const auto release_of = [&h](const std::string& line) {
+    const auto w = sim::Workload::from_trace(h + line, "edge.jsonl");
+    EXPECT_EQ(w->sends(0, 0).size(), 1u) << line;
+    return w->sends(0, 0).empty() ? -1 : w->sends(0, 0)[0].release;
+  };
+  EXPECT_EQ(release_of(msg("-0")), 0);
+  EXPECT_EQ(release_of(msg("999999999999999999")), 999999999999999999);
+  EXPECT_EQ(release_of(msg("1000000000000000000")), 1000000000000000000);
+  EXPECT_EQ(release_of(msg("0", "}\r\n")), 0);
+  EXPECT_EQ(release_of(msg("0", " }\n")), 0);
+  reject(h + msg("01"), "line 2: JSON parse error at line 1 column 51: "
+                        "numbers may not have leading zeros");
+  reject(h + msg("0", "}x\n"),
+         "line 2: JSON parse error at line 1 column 53: "
+         "trailing content after JSON document");
+  reject(h + msg("1.0"), "line 2: key \"release\" must be an integer");
+  reject(h + msg("1e2"), "line 2: key \"release\" must be an integer");
+  reject(h + msg("9223372036854775808"),
+         "line 2: key \"release\" must be an integer");
+  reject(h + msg("99999999999999999999"),
+         "line 2: key \"release\" must be an integer");
+  // A duplicate key resolves to its first occurrence; order is free.
+  const auto dup = sim::Workload::from_trace(
+      h + "{\"rank\":0,\"phase\":0,\"dst\":1,\"packets\":1,\"release\":0,"
+          "\"dst\":2}\n",
+      "edge.jsonl");
+  EXPECT_EQ(dup->sends(0, 0)[0].dst, 1);
+  const auto reordered = sim::Workload::from_trace(
+      h + "{\"release\":7,\"packets\":2,\"dst\":2,\"phase\":1,\"rank\":0}\n",
+      "edge.jsonl");
+  ASSERT_EQ(reordered->sends(0, 1).size(), 1u);
+  EXPECT_EQ(reordered->sends(0, 1)[0].dst, 2);
+  EXPECT_EQ(reordered->sends(0, 1)[0].packets, 2);
+  EXPECT_EQ(reordered->sends(0, 1)[0].release, 7);
+}
+
+// ---- mutation fuzz -------------------------------------------------------
+
+/// Applies one seeded mutation: a byte overwrite (biased toward digits
+/// and bytes the grammar cares about), a bit flip, a truncation (half of
+/// them at a line boundary), or a line splice.
+void mutate(std::string& text, util::Rng& rng) {
+  static const std::string kBytes =
+      "01234567890123456789-+.eE\"{}[],: \t\r\nx";
+  if (text.empty()) return;
+  const std::size_t at = rng.below(text.size());
+  switch (rng.below(4)) {
+    case 0:
+      text[at] = kBytes[rng.below(kBytes.size())];
+      break;
+    case 1:
+      text[at] = static_cast<char>(text[at] ^ (1 << rng.below(8)));
+      break;
+    case 2:
+      text.resize(rng.below(2) == 0 ? at : text.rfind('\n', at) + 1);
+      break;
+    default: {
+      // Copy the line holding `at` (newline included) to the start of
+      // another, randomly chosen line.
+      const std::size_t from =
+          at == 0 ? 0 : text.rfind('\n', at - 1) + 1;  // npos + 1 == 0
+      const std::size_t to = std::min(text.find('\n', at), text.size() - 1);
+      const std::string line = text.substr(from, to - from + 1);
+      const std::size_t dest = rng.below(text.size());
+      text.insert(text.rfind('\n', dest) + 1, line);
+      break;
+    }
+  }
+}
+
+/// "ok:" + the re-serialized workload, or "error:" + the message cut at
+/// any JSON column (json_only() shifts every column by one).
+/// Fails the test unless a parse re-serializes to a fixed point and an
+/// error is a line-numbered std::invalid_argument.
+std::string fuzz_outcome(const std::string& text) {
+  try {
+    const std::string out =
+        sim::Workload::from_trace(text, "fuzz.jsonl")->to_trace();
+    EXPECT_EQ(sim::Workload::from_trace(out, "reparse")->to_trace(), out);
+    return "ok:" + out;
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("fuzz.jsonl line "), std::string::npos) << what;
+    return "error:" + what.substr(0, what.find(" column "));
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "unexpected exception type: " << e.what();
+    return "";
+  }
+}
+
+/// The same document with a space starting every non-empty line: the
+/// JSON reader accepts it exactly like the original, the scanner never
+/// does.
+std::string json_only(const std::string& text) {
+  std::string out;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    if ((i == 0 || text[i - 1] == '\n') && text[i] != '\n') out += ' ';
+    out += text[i];
+  }
+  return out;
+}
+
+TEST(WorkloadTrace, MutatedTracesParseOrFailWithALineNumber) {
+  // Seeded mutants of captured traces either parse to a re-serialization
+  // fixed point or fail with a line-numbered error, and the in-place
+  // scanner never changes an outcome: each mutant and its JSON-reader-
+  // only twin get the same workload or the same error.
+  int parsed = 0;
+  int rejected = 0;
+  for (const char* spec : {"bursty", "alltoall:packets=2"}) {
+    const std::string base = make(spec, 5, 3)->to_trace();
+    util::Rng rng(0xf022);
+    for (int i = 0; i < 1000; ++i) {
+      std::string text = base;
+      const int edits = 1 + static_cast<int>(rng.below(2));
+      for (int e = 0; e < edits; ++e) mutate(text, rng);
+      const std::string got = fuzz_outcome(text);
+      EXPECT_EQ(fuzz_outcome(json_only(text)), got) << spec << " #" << i;
+      ++(got.rfind("ok:", 0) == 0 ? parsed : rejected);
+    }
+  }
+  EXPECT_GT(parsed, 100);
+  EXPECT_GT(rejected, 100);
 }
 
 TEST(WorkloadTrace, ReplayRejectsRankCountMismatch) {
