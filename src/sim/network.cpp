@@ -110,26 +110,22 @@ Network::Network(const graph::Graph& g, const std::vector<int>& endpoints,
       in.push_back(static_cast<int>(channel_target_.size()));
       channel_target_.push_back(u);
       channel_source_.push_back(v);
-      channel_in_bit_.push_back(static_cast<std::uint8_t>(
-          std::min<std::size_t>(in.size() - 1, 255)));
+      channel_in_bit_.push_back(static_cast<std::int32_t>(in.size() - 1));
     }
   }
-  // Event-core eligibility: the agenda keeps one in-channel bit per
-  // router, so it needs every in-degree <= 64. Denser routers fall back
-  // to the cycle core, which computes identical statistics.
+  // One in-channel mask bit per incoming channel: routers past in-degree
+  // 64 (PF q >= 64, say) take a span of several words.
   std::size_t max_in_degree = 0;
   for (const auto& in : in_channels_) {
     max_in_degree = std::max(max_in_degree, in.size());
   }
-  event_mode_ = config_.engine == SimEngine::Event && max_in_degree <= 64;
-  if (event_mode_) {
-    in_nonempty_.assign(static_cast<std::size_t>(n), 0);
-    const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
-    wake_now_.assign(words, 0);
-    wake_next_.assign(words, 0);
-    agenda_tag_.assign(static_cast<std::size_t>(n),
-                       std::numeric_limits<std::int64_t>::min());
-  }
+  in_words_ = std::max<std::size_t>(1, (max_in_degree + 63) / 64);
+  in_nonempty_.assign(static_cast<std::size_t>(n) * in_words_, 0);
+  const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
+  wake_now_.assign(words, 0);
+  wake_next_.assign(words, 0);
+  agenda_tag_.assign(static_cast<std::size_t>(n),
+                     std::numeric_limits<std::int64_t>::min());
   channel_occupancy_.assign(num_channels, 0);
   waiting_for_output_.assign(num_channels, 0);
   const std::size_t num_rings =
@@ -150,7 +146,6 @@ Network::Network(const graph::Graph& g, const std::vector<int>& endpoints,
   // uniform draw of the first gap sample, and that draw's log1p(-u)
   // (the offered load only enters the gap through the denominator, so
   // the numerator is reusable across every reset).
-  next_inject_.assign(terminals_.size(), kNeverInject);
   inj_snap0_.reserve(terminals_.size());
   inj_snap1_.reserve(terminals_.size());
   inj_log1m_u_.resize(terminals_.size());
@@ -209,156 +204,56 @@ void Network::reset(double load) {
 }
 
 void Network::reset_state() {
-  if (config_.full_rebuild_reset) {
-    reset_injection_full();
-    reset_arrays_full();
-  } else {
-    reset_injection_fast();
-    reset_arrays_fast();
-  }
+  reset_injection();
+  reset_arrays();
   reset_scalars();
 }
 
-void Network::reset_injection_full() {
-  if (workload_mode_) {
-    // Workload mode replaces the Bernoulli schedule entirely: fresh
-    // per-terminal RNG streams (still consumed for sub-VC draws), an
-    // empty heap (wl_reset seeds it), and never the linear scan — the
-    // heap pops entries <= cycle_ while the scan matches == cycle_, and
-    // delivery-triggered wakes would diverge under the scan.
-    scan_mode_ = false;
-    inj_log1m_p_ = 0.0;
-    terminal_rng_ = inj_snap0_;
-    std::fill(next_inject_.begin(), next_inject_.end(), kNeverInject);
-    inject_heap_.clear();
-    return;
-  }
-  // Rebuild every terminal's injection stream and schedule. The first
-  // wakeup is sampled as if the previous injection happened at cycle -1,
-  // so P(first injection at cycle 0) is exactly the per-cycle rate.
-  //
-  // Wakeup structure: the heap costs ~2 log2(T) sifts per arrival, the
-  // scan one comparison per terminal per cycle; with arrival probability
-  // p per terminal the scan is cheaper once p * 2 log2(T) > ~1. Either
-  // way the processed schedule is identical.
+void Network::reset_injection() {
+  // The first wakeup is sampled as if the previous injection happened at
+  // cycle -1, so P(first injection at cycle 0) is exactly the per-cycle
+  // rate. No RNG stream is re-derived: the captured states are restored
+  // and each first gap is recomputed from the captured log1p(-u) with
+  // injection_gap's exact floor(log1p(-u) / log1p(-p)) arithmetic on the
+  // exact same doubles.
   const double p =
       load_ / static_cast<double>(std::max(1, config_.packet_size));
-  const double log2_t = std::log2(
-      static_cast<double>(std::max<std::size_t>(2, terminals_.size())));
-  // The event core needs the heap: the injection schedule IS its wakeup
-  // source, and the scan assumes every cycle is visited.
-  scan_mode_ = (config_.scan_injection || p * 2.0 * log2_t >= 1.0) &&
-               !event_mode_;
   // Hoist the constant denominator of injection_gap's inverse-CDF sample
   // (one log1p per reset instead of one per packet); the division is
   // unchanged, so every sampled gap is bit-identical.
   inj_log1m_p_ = (p > 0.0 && p < 1.0) ? std::log1p(-p) : 0.0;
-  terminal_rng_.clear();
-  terminal_rng_.reserve(terminals_.size());
-  next_inject_.assign(terminals_.size(), kNeverInject);
   inject_heap_.clear();
-  for (std::size_t t = 0; t < terminals_.size(); ++t) {
-    terminal_rng_.emplace_back(config_.seed +
-                               0x9e3779b97f4a7c15ULL *
-                                   (static_cast<std::uint64_t>(t) + 1));
-    const std::int64_t gap = injection_gap(terminal_rng_[t]);
-    if (gap < kNeverInject) {
-      schedule_terminal(static_cast<int>(t), -1 + gap);
-    }
-  }
-}
-
-void Network::reset_injection_fast() {
-  if (workload_mode_) {
-    // Identical to the full path: the workload schedule has no captured
-    // first draw to restore.
-    scan_mode_ = false;
-    inj_log1m_p_ = 0.0;
+  if (workload_mode_ || p <= 0.0) {
+    // Fresh streams and no Bernoulli schedule: at zero load
+    // injection_gap returns kNeverInject without drawing, and workload
+    // mode draws only sub-VCs from the streams while wl_reset seeds the
+    // heap from the compiled sends.
     terminal_rng_ = inj_snap0_;
-    std::fill(next_inject_.begin(), next_inject_.end(), kNeverInject);
-    inject_heap_.clear();
-    return;
-  }
-  // Same schedule as reset_injection_full, without re-deriving any RNG
-  // stream: restore the captured states and recompute each first gap
-  // from the captured log1p(-u) — injection_gap's exact floor(log1p(-u)
-  // / log1p(-p)) arithmetic on the exact same doubles. The heap is
-  // rebuilt by one make_heap; a min-heap of distinct (time, terminal)
-  // pairs pops in an order determined by its contents alone, so the
-  // layout difference vs. repeated push_heap is unobservable.
-  const double p =
-      load_ / static_cast<double>(std::max(1, config_.packet_size));
-  const double log2_t = std::log2(
-      static_cast<double>(std::max<std::size_t>(2, terminals_.size())));
-  scan_mode_ = (config_.scan_injection || p * 2.0 * log2_t >= 1.0) &&
-               !event_mode_;
-  inj_log1m_p_ = (p > 0.0 && p < 1.0) ? std::log1p(-p) : 0.0;
-  inject_heap_.clear();
-  if (p <= 0.0) {
-    // injection_gap returns kNeverInject without drawing: fresh streams.
-    terminal_rng_ = inj_snap0_;
-    std::fill(next_inject_.begin(), next_inject_.end(), kNeverInject);
     return;
   }
   if (p >= 1.0) {
     // injection_gap returns 1 without drawing: fresh streams, every
     // terminal due at cycle -1 + 1 = 0.
     terminal_rng_ = inj_snap0_;
-    std::fill(next_inject_.begin(), next_inject_.end(), 0);
-    if (!scan_mode_) {
-      for (std::size_t t = 0; t < terminals_.size(); ++t) {
-        inject_heap_.emplace_back(0, static_cast<int>(t));
-      }
-      std::make_heap(inject_heap_.begin(), inject_heap_.end(),
-                     std::greater<>());
+    for (std::size_t t = 0; t < terminals_.size(); ++t) {
+      inject_heap_.emplace_back(0, static_cast<int>(t));
     }
+    std::make_heap(inject_heap_.begin(), inject_heap_.end(),
+                   std::greater<>());
     return;
   }
   terminal_rng_ = inj_snap1_;  // the one uniform draw is consumed
   for (std::size_t t = 0; t < terminals_.size(); ++t) {
     const double failures = std::floor(inj_log1m_u_[t] / inj_log1m_p_);
-    if (!(failures < static_cast<double>(kNeverInject))) {
-      next_inject_[t] = kNeverInject;
-      continue;
-    }
+    if (!(failures < static_cast<double>(kNeverInject))) continue;
     const std::int64_t at =
         static_cast<std::int64_t>(std::max(0.0, failures));  // -1 + gap
-    next_inject_[t] = at;
-    if (!scan_mode_) inject_heap_.emplace_back(at, static_cast<int>(t));
+    inject_heap_.emplace_back(at, static_cast<int>(t));
   }
-  if (!scan_mode_) {
-    std::make_heap(inject_heap_.begin(), inject_heap_.end(),
-                   std::greater<>());
-  }
+  std::make_heap(inject_heap_.begin(), inject_heap_.end(), std::greater<>());
 }
 
-void Network::reset_arrays_full() {
-  std::fill(channel_occupancy_.begin(), channel_occupancy_.end(), 0);
-  std::fill(waiting_for_output_.begin(), waiting_for_output_.end(), 0);
-  std::fill(ring_head_.begin(), ring_head_.end(), 0);
-  std::fill(ring_size_.begin(), ring_size_.end(), 0);
-  std::fill(vc_nonempty_.begin(), vc_nonempty_.end(), 0);
-  std::fill(link_busy_until_.begin(), link_busy_until_.end(), 0);
-  std::fill(router_backlog_.begin(), router_backlog_.end(), 0);
-  for (auto& pool : injection_pool_) pool.clear();
-  // Dirty marking runs regardless of which reset path will consume it;
-  // the full clear leaves nothing dirty.
-  for (const std::int32_t c : dirty_channels_) {
-    channel_dirty_[static_cast<std::size_t>(c)] = 0;
-  }
-  dirty_channels_.clear();
-  for (const int v : dirty_routers_) {
-    router_dirty_[static_cast<std::size_t>(v)] = 0;
-  }
-  dirty_routers_.clear();
-  if (event_mode_) {
-    std::fill(in_nonempty_.begin(), in_nonempty_.end(), 0);
-    std::fill(agenda_tag_.begin(), agenda_tag_.end(),
-              std::numeric_limits<std::int64_t>::min());
-  }
-}
-
-void Network::reset_arrays_fast() {
+void Network::reset_arrays() {
   // O(touched): only channels that ever buffered/reserved a packet and
   // routers that ever had backlog since the previous reset are cleared.
   //
@@ -411,10 +306,10 @@ void Network::reset_arrays_fast() {
     const auto vi = static_cast<std::size_t>(v);
     router_backlog_[vi] = 0;
     injection_pool_[vi].clear();
-    if (event_mode_) {
-      in_nonempty_[vi] = 0;
-      agenda_tag_[vi] = std::numeric_limits<std::int64_t>::min();
-    }
+    std::fill_n(in_nonempty_.begin() +
+                    static_cast<std::ptrdiff_t>(vi * in_words_),
+                in_words_, std::uint64_t{0});
+    agenda_tag_[vi] = std::numeric_limits<std::int64_t>::min();
     router_dirty_[vi] = 0;
   }
   dirty_routers_.clear();
@@ -446,13 +341,11 @@ void Network::reset_scalars() {
   drain_seconds_ = 0.0;
   total_ejected_flits_ = 0;
   prev_total_flits_ = 0;
-  if (event_mode_) {
-    // O(routers / 64) words; the per-router agenda state is cleared by
-    // the array pass above.
-    std::fill(wake_now_.begin(), wake_now_.end(), 0);
-    std::fill(wake_next_.begin(), wake_next_.end(), 0);
-    agenda_.clear();
-  }
+  // O(routers / 64) words; the per-router agenda state is cleared by the
+  // array pass above.
+  std::fill(wake_now_.begin(), wake_now_.end(), 0);
+  std::fill(wake_next_.begin(), wake_next_.end(), 0);
+  agenda_.clear();
   if (has_timeline_) {
     next_fault_ = 0;
     any_dead_ = false;
@@ -507,8 +400,6 @@ std::int64_t Network::injection_gap(util::Rng& rng) const {
 }
 
 void Network::schedule_terminal(int t, std::int64_t at) {
-  next_inject_[static_cast<std::size_t>(t)] = at;
-  if (scan_mode_) return;  // the scan walks next_inject_
   inject_heap_.emplace_back(at, t);
   std::push_heap(inject_heap_.begin(), inject_heap_.end(),
                  std::greater<>());
@@ -535,6 +426,14 @@ void Network::process_due_terminal(int t) {
     schedule_terminal(t, terminal_inject_free_[ti] - max_backlog);
     return;
   }
+  util::Rng& rng = terminal_rng_[ti];
+  inject_packet(t, pattern_.destination(t, rng));
+  const std::int64_t gap = injection_gap(rng);
+  if (gap < kNeverInject) schedule_terminal(t, cycle_ + gap);
+}
+
+Network::Packet& Network::inject_packet(int t, int dst_terminal) {
+  const auto ti = static_cast<std::size_t>(t);
   int id;
   if (free_packets_.empty()) {
     id = static_cast<int>(packets_.size());
@@ -544,12 +443,11 @@ void Network::process_due_terminal(int t) {
     free_packets_.pop_back();
     packets_[static_cast<std::size_t>(id)] = Packet{};
   }
-  util::Rng& rng = terminal_rng_[ti];
   Packet& packet = packets_[static_cast<std::size_t>(id)];
   packet.src_router = terminals_[ti];
-  packet.dst_terminal = pattern_.destination(t, rng);
-  packet.subvc =
-      static_cast<int>(rng.below(static_cast<std::uint64_t>(subvcs_)));
+  packet.dst_terminal = dst_terminal;
+  packet.subvc = static_cast<int>(
+      terminal_rng_[ti].below(static_cast<std::uint64_t>(subvcs_)));
   packet.birth = cycle_;
   packet.ready = std::max(cycle_, terminal_inject_free_[ti]);
   terminal_inject_free_[ti] = packet.ready + config_.packet_size;
@@ -557,7 +455,7 @@ void Network::process_due_terminal(int t) {
   if (packet.measured) ++measured_generated_;
   injection_pool_[static_cast<std::size_t>(packet.src_router)].push_back(id);
   backlog_inc(packet.src_router);
-  if (event_mode_) wake_router(packet.src_router, cycle_);
+  wake_router(packet.src_router, cycle_);
   if (telemetry_) {
     telemetry_->on_backlog(
         packet.src_router,
@@ -567,22 +465,10 @@ void Network::process_due_terminal(int t) {
       trace_inject(packet, t);
     }
   }
-
-  const std::int64_t gap = injection_gap(rng);
-  if (gap < kNeverInject) schedule_terminal(t, cycle_ + gap);
+  return packet;
 }
 
 void Network::inject_new_packets() {
-  if (scan_mode_) {
-    // O(terminals) walk of the same schedule, processed in ascending
-    // terminal order — the order the heap pops ties in.
-    for (std::size_t t = 0; t < terminals_.size(); ++t) {
-      if (next_inject_[t] == cycle_) {
-        process_due_terminal(static_cast<int>(t));
-      }
-    }
-    return;
-  }
   while (!inject_heap_.empty() && inject_heap_.front().first <= cycle_) {
     const int t = inject_heap_.front().second;
     std::pop_heap(inject_heap_.begin(), inject_heap_.end(),
@@ -617,26 +503,29 @@ void Network::release_packet(int packet_id) {
   free_packets_.push_back(packet_id);
 }
 
-bool Network::advance_faults() {
-  // Delivered-flit window (faults present only): feed the previous
-  // cycle's ejections into the sliding window and settle reconvergence
-  // clocks that have re-entered their band.
+void Network::feed_recovery_window(std::int64_t at) {
   const std::int64_t delta = total_ejected_flits_ - prev_total_flits_;
   prev_total_flits_ = total_ejected_flits_;
-  const auto slot = static_cast<std::size_t>(cycle_ % kRecoveryWindow);
+  const auto slot = static_cast<std::size_t>(at % kRecoveryWindow);
   window_total_ += delta - window_[slot];
   window_[slot] = delta;
   for (std::size_t i = 0; i < pending_recovery_.size();) {
     if (static_cast<double>(window_total_) >= pending_recovery_[i].target) {
       degradation_.reconvergence[pending_recovery_[i].slot] =
-          cycle_ - pending_recovery_[i].at;
+          at - pending_recovery_[i].at;
       pending_recovery_[i] = pending_recovery_.back();
       pending_recovery_.pop_back();
     } else {
       ++i;
     }
   }
+}
 
+bool Network::advance_faults() {
+  // Delivered-flit window (faults present only): feed the previous
+  // cycle's ejections into the sliding window and settle reconvergence
+  // clocks that have re-entered their band.
+  feed_recovery_window(cycle_);
   const auto& events = config_.faults.events;
   bool changed = false;
   while (next_fault_ < events.size() &&
@@ -670,9 +559,6 @@ void Network::apply_fault(const FaultEvent& event, std::size_t index) {
   router_dead_[static_cast<std::size_t>(event.u)] = 1;
   for (const std::int32_t v : graph_.neighbors(event.u)) {
     kill_link(event.u, static_cast<int>(v));
-  }
-  for (std::size_t t = 0; t < terminals_.size(); ++t) {
-    if (terminals_[t] == event.u) next_inject_[t] = kNeverInject;
   }
 }
 
@@ -720,10 +606,7 @@ void Network::flush_dead_channel(int channel) {
   vc_nonempty_[c] = 0;
   channel_occupancy_[c] = 0;
   link_busy_until_[c] = 0;
-  if (event_mode_) {
-    in_nonempty_[static_cast<std::size_t>(target)] &=
-        ~(1ULL << channel_in_bit_[c]);
-  }
+  in_nonempty_[in_word(c)] &= ~in_bit(c);
   if (flushed != 0) {
     router_backlog_[static_cast<std::size_t>(target)] -= flushed;
     if (router_backlog_[static_cast<std::size_t>(target)] == 0) {
@@ -865,12 +748,10 @@ bool Network::try_dispatch(int packet_id, int at_router) {
         }
       } else if (config_.faults.policy == FaultPolicy::Reinject) {
         requeue_at_source(packet_id);
-        if (event_mode_) {
-          // The source's pool grew; it processes later this same cycle
-          // only if its id is still ahead of the agenda cursor.
-          wake_router(packet.src_router,
-                      packet.src_router > at_router ? cycle_ : cycle_ + 1);
-        }
+        // The source's pool grew; it processes later this same cycle
+        // only if its id is still ahead of the agenda cursor.
+        wake_router(packet.src_router,
+                    packet.src_router > at_router ? cycle_ : cycle_ + 1);
         return true;  // caller pops the buffer slot
       } else {
         drop_unreachable(packet_id, at_router);
@@ -887,9 +768,9 @@ bool Network::try_dispatch(int packet_id, int at_router) {
     if (packet.src_router == dst_router) {
       packet.route.push(packet.src_router);
     } else if (!has_timeline_) {
-      // Every branch below draws the shared RNG: the event core must
-      // revisit this router next cycle exactly when the cycle core's
-      // visit would draw again (notably pick_route failing every cycle
+      // Every branch below draws the shared RNG: the agenda must
+      // revisit this router next cycle exactly when cycle mode's visit
+      // would draw again (notably pick_route failing every cycle
       // for an unreachable Reinject-policy packet).
       ev_dirty_ = true;
       routing_.route(*this, packet.src_router, dst_router, rng_,
@@ -960,12 +841,9 @@ bool Network::try_dispatch(int packet_id, int at_router) {
   link_busy_until_[out] = cycle_ + config_.packet_size;
   channel_occupancy_[out] += config_.packet_size;
   backlog_inc(channel_target_[out]);
-  if (event_mode_) {
-    // The head arrives downstream next cycle (packet.ready below).
-    in_nonempty_[static_cast<std::size_t>(channel_target_[out])] |=
-        1ULL << channel_in_bit_[out];
-    wake_router(channel_target_[out], cycle_ + 1);
-  }
+  // The head arrives downstream next cycle (packet.ready below).
+  in_nonempty_[in_word(out)] |= in_bit(out);
+  wake_router(channel_target_[out], cycle_ + 1);
   if (telemetry_) {
     telemetry_->on_forward(out);
     telemetry_->on_class_enqueue(vc / subvcs_);
@@ -986,9 +864,6 @@ bool Network::try_dispatch(int packet_id, int at_router) {
   return true;
 }
 
-void Network::allocate_router(int v) { allocate_router_impl<false>(v); }
-
-template <bool kEvent>
 void Network::drain_channel(int v, int c) {
   std::uint64_t mask = vc_nonempty_[static_cast<std::size_t>(c)];
   while (mask != 0) {
@@ -1007,20 +882,18 @@ void Network::drain_channel(int v, int c) {
       const std::uint16_t remaining = --ring_size_[ring];
       if (remaining == 0) {
         vc_nonempty_[static_cast<std::size_t>(c)] &= ~(1ULL << vc);
-        if (kEvent && vc_nonempty_[static_cast<std::size_t>(c)] == 0) {
-          in_nonempty_[static_cast<std::size_t>(v)] &=
-              ~(1ULL << channel_in_bit_[static_cast<std::size_t>(c)]);
+        if (vc_nonempty_[static_cast<std::size_t>(c)] == 0) {
+          in_nonempty_[in_word(static_cast<std::size_t>(c))] &=
+              ~in_bit(static_cast<std::size_t>(c));
         }
       }
-      if (kEvent) {
-        ev_dirty_ = true;
-        if (static_cast<int>(remaining) + 1 == vc_cap_packets_) {
-          // Credit return from a previously-full ring: the upstream
-          // router may have a head blocked on exactly this VC. Same
-          // cycle if it still lies ahead of the agenda cursor.
-          const int u = channel_source_[static_cast<std::size_t>(c)];
-          wake_router(u, u > v ? cycle_ : cycle_ + 1);
-        }
+      ev_dirty_ = true;
+      if (static_cast<int>(remaining) + 1 == vc_cap_packets_) {
+        // Credit return from a previously-full ring: the upstream
+        // router may have a head blocked on exactly this VC. Same
+        // cycle if it still lies ahead of the agenda cursor.
+        const int u = channel_source_[static_cast<std::size_t>(c)];
+        wake_router(u, u > v ? cycle_ : cycle_ + 1);
       }
       channel_occupancy_[static_cast<std::size_t>(c)] -=
           config_.packet_size;
@@ -1030,50 +903,46 @@ void Network::drain_channel(int v, int c) {
   }
 }
 
-template <bool kEvent>
-void Network::allocate_router_impl(int v) {
+void Network::allocate_router(int v) {
   // Transit before injection: in-network packets get first claim on the
   // output links, otherwise saturated sources starve every through-flow
   // and the network gridlocks instead of plateauing.
+  //
+  // Rotating priority over the input channels: every router historically
+  // bumped its arbiter pointer once per cycle, so the pointer equals the
+  // cycle count and the walk starts at cycle_ mod in-degree. Only
+  // channels with queued packets are visited, in the order the full
+  // rotated walk would reach them (empty channels are no-ops there, so
+  // the drains are identical). A drain clears only its own channel's
+  // bit, so the masks can be read as the walk goes.
   const auto& incoming = in_channels_[static_cast<std::size_t>(v)];
-  if (kEvent) {
-    // Visit only channels with queued packets, in the order the full
-    // rotated walk would reach them (empty channels are no-ops there,
-    // so the drains are identical). A single candidate makes the
-    // rotation irrelevant and skips the modulo.
-    const std::uint64_t pending =
-        in_nonempty_[static_cast<std::size_t>(v)];
-    if (pending != 0) {
-      if ((pending & (pending - 1)) == 0) {
-        const int k = __builtin_ctzll(pending);
-        drain_channel<true>(v, incoming[static_cast<std::size_t>(k)]);
-      } else {
-        const std::size_t start =
-            static_cast<std::size_t>(cycle_) % incoming.size();
-        const std::uint64_t low =
-            start == 0 ? 0 : pending & ((1ULL << start) - 1);
-        std::uint64_t m = pending ^ low;  // indices >= start first
-        for (int pass = 0; pass < 2; ++pass) {
-          while (m != 0) {
-            const int k = __builtin_ctzll(m);
-            m &= m - 1;
-            drain_channel<true>(v, incoming[static_cast<std::size_t>(k)]);
-          }
-          m = low;  // then wrap to indices < start
-        }
-      }
+  const std::uint64_t* pending =
+      &in_nonempty_[static_cast<std::size_t>(v) * in_words_];
+  const std::uint64_t mask = pending[0];
+  if (in_words_ == 1 && (mask & (mask - 1)) == 0) {
+    // At most one candidate makes the rotation irrelevant.
+    if (mask != 0) {
+      drain_channel(v, incoming[static_cast<std::size_t>(
+                           __builtin_ctzll(mask))]);
     }
-  } else {
-    // Rotating priority: every router historically bumped its arbiter
-    // pointer once per cycle, so the pointer equals the cycle count —
-    // derive the start from cycle_ directly (bit-identical, and
-    // idle-router skipping cannot drift it).
+  } else if (!incoming.empty()) {
+    // Walk the words from the one holding bit `start`, taking its bits
+    // >= start first and wrapping back to its bits < start last.
     const std::size_t start =
-        incoming.empty()
-            ? 0
-            : static_cast<std::size_t>(cycle_) % incoming.size();
-    for (std::size_t k = 0; k < incoming.size(); ++k) {
-      drain_channel<false>(v, incoming[(start + k) % incoming.size()]);
+        static_cast<std::size_t>(cycle_) % incoming.size();
+    const std::size_t first = start >> 6;
+    const std::uint64_t before = (1ULL << (start & 63)) - 1;
+    for (std::size_t i = 0; i <= in_words_; ++i) {
+      std::size_t w = first + i;
+      if (w >= in_words_) w -= in_words_;
+      std::uint64_t m = pending[w];
+      if (i == 0) m &= ~before;
+      if (i == in_words_) m &= before;
+      while (m != 0) {
+        const int k = __builtin_ctzll(m);
+        m &= m - 1;
+        drain_channel(v, incoming[(w << 6) + static_cast<std::size_t>(k)]);
+      }
     }
   }
 
@@ -1100,27 +969,13 @@ void Network::allocate_router_impl(int v) {
     }
   }
   if (dispatched != 0) {
-    if (kEvent) ev_dirty_ = true;
+    ev_dirty_ = true;
     while (read < pool.size()) pool[write++] = pool[read++];
     pool.resize(write);
   }
 }
 
-void Network::step() {
-  if (has_timeline_) advance_faults();
-  inject_new_packets();
-  const int n = graph_.num_vertices();
-  // Active-router worklist: a router with nothing queued (no VC ring
-  // occupied, empty injection pool) can neither dispatch nor draw
-  // randomness, so skipping it is exact.
-  for (int v = 0; v < n; ++v) {
-    if (router_backlog_[static_cast<std::size_t>(v)] != 0) {
-      allocate_router(v);
-    }
-  }
-  if (telemetry_) telemetry_->end_cycle();
-  ++cycle_;
-}
+void Network::step() { process_cycle(true); }
 
 void Network::wake_router(int v, std::int64_t at) {
   const auto word = static_cast<std::size_t>(v) >> 6;
@@ -1134,7 +989,7 @@ void Network::wake_router(int v, std::int64_t at) {
     // wake-word scan is being paid anyway, so a far wake degrades to
     // next-cycle polling instead of heap churn. Early visits of a
     // blocked router are exact no-ops (no state change, no RNG draw) —
-    // the cycle core visits every backlogged router every cycle — so
+    // cycle mode visits every backlogged router every cycle — so
     // this changes cost only, never statistics.
     wake_next_[word] |= bit;
   } else {
@@ -1147,6 +1002,7 @@ void Network::wake_router(int v, std::int64_t at) {
 }
 
 std::int64_t Network::next_activity_cycle() const {
+  if (config_.engine == SimEngine::Cycle) return cycle_;  // never skips
   for (const std::uint64_t w : wake_now_) {
     if (w != 0) return cycle_;
   }
@@ -1159,13 +1015,15 @@ std::int64_t Network::next_activity_cycle() const {
   return std::max(at, cycle_);
 }
 
-void Network::process_event_cycle() {
-  if (has_timeline_ && advance_faults()) {
-    // Topology changed this cycle: flushes already requeued packets,
-    // committed routes may now cross dead links, revived links unblock
-    // heads — every queued packet anywhere may behave differently, so
-    // wake every backlogged router (this also keeps the shared-RNG
-    // re-path draws on the cycle core's schedule).
+void Network::process_cycle(bool wake_all) {
+  const bool topology_changed = has_timeline_ && advance_faults();
+  if (wake_all || topology_changed) {
+    // Cycle mode wakes every backlogged router every cycle. So does a
+    // topology change under either engine: flushes already requeued
+    // packets, committed routes may now cross dead links, revived links
+    // unblock heads — every queued packet anywhere may behave
+    // differently (this also keeps the shared-RNG re-path draws on
+    // cycle mode's schedule).
     const int n = graph_.num_vertices();
     for (int v = 0; v < n; ++v) {
       if (router_backlog_[static_cast<std::size_t>(v)] != 0) {
@@ -1182,9 +1040,9 @@ void Network::process_event_cycle() {
     wake_now_[static_cast<std::size_t>(v) >> 6] |=
         1ULL << (static_cast<unsigned>(v) & 63);
   }
-  // Drain due routers in ascending id — the order the cycle core's full
-  // scan visits them. Wakes produced for this same cycle (credits to a
-  // higher-id upstream, requeues to a higher-id source) only ever set
+  // Drain due routers in ascending id, the order cycle mode visits every
+  // backlogged router in. Wakes produced for this same cycle (credits to
+  // a higher-id upstream, requeues to a higher-id source) only ever set
   // bits ahead of the cursor, so one forward pass sees everything.
   for (std::size_t w = 0; w < wake_now_.size(); ++w) {
     while (wake_now_[w] != 0) {
@@ -1194,11 +1052,14 @@ void Network::process_event_cycle() {
       if (router_backlog_[static_cast<std::size_t>(v)] == 0) continue;
       ev_dirty_ = false;
       ev_hint_ = std::numeric_limits<std::int64_t>::max();
-      allocate_router_impl<true>(v);
+      allocate_router(v);
+      // The sleep decision runs in cycle mode too, where the next wake-all
+      // overrides it: the agenda then stays exact whichever engine runs
+      // the next cycle (step() followed by an event-engine run_phases()).
       if (router_backlog_[static_cast<std::size_t>(v)] != 0) {
         if (ev_dirty_) {
-          // Something moved or the shared RNG was drawn: the cycle
-          // core's next visit could act (or draw) too.
+          // Something moved or the shared RNG was drawn: cycle mode's
+          // next visit could act (or draw) too.
           wake_next_[w] |= 1ULL << static_cast<unsigned>(b);
         } else if (ev_hint_ != std::numeric_limits<std::int64_t>::max()) {
           wake_router(v, ev_hint_);
@@ -1222,21 +1083,7 @@ void Network::advance_window_gap(std::int64_t from, std::int64_t to) {
   // and give pending recovery clocks their one chance to settle — past
   // `from` every slot update subtracts, window_total_ is nonincreasing,
   // and a clock that cannot settle at `from` cannot settle in the gap.
-  const std::int64_t delta = total_ejected_flits_ - prev_total_flits_;
-  prev_total_flits_ = total_ejected_flits_;
-  const auto slot = static_cast<std::size_t>(from % kRecoveryWindow);
-  window_total_ += delta - window_[slot];
-  window_[slot] = delta;
-  for (std::size_t i = 0; i < pending_recovery_.size();) {
-    if (static_cast<double>(window_total_) >= pending_recovery_[i].target) {
-      degradation_.reconvergence[pending_recovery_[i].slot] =
-          from - pending_recovery_[i].at;
-      pending_recovery_[i] = pending_recovery_.back();
-      pending_recovery_.pop_back();
-    } else {
-      ++i;
-    }
-  }
+  feed_recovery_window(from);
   // Zero-fill the remaining skipped slots; after kRecoveryWindow of
   // them the ring is all zero and later slots already are.
   const std::int64_t fills =
@@ -1248,20 +1095,34 @@ void Network::advance_window_gap(std::int64_t from, std::int64_t to) {
   }
 }
 
-bool Network::advance_event(std::int64_t end, bool check_stall,
-                            bool drain_mode, std::int64_t stall_after) {
+void Network::advance(std::int64_t end, bool check_stall,
+                      bool drain_mode) {
+  // Progress watchdog: a damaged (or pathologically congested) run that
+  // stops delivering while measured packets are outstanding terminates
+  // with stalled() = true instead of spinning out the full schedule. The
+  // default threshold (drain_cycles of silence, re-armed per phase) can
+  // only fire on a run whose entire drain budget passed without a single
+  // delivery — it never perturbs a run the schedule would complete.
   constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
-  while (cycle_ < end) {
+  std::int64_t stall_after = kMax;
+  if (check_stall && config_.stall_cycles > 0) {
+    stall_after = config_.stall_cycles;
+  } else if (check_stall && config_.stall_cycles == 0 &&
+             config_.drain_cycles > 0) {
+    stall_after = config_.drain_cycles;
+  }
+  const bool cycle_mode = config_.engine == SimEngine::Cycle;
+  while (cycle_ < end && !wl_done_) {
     const bool outstanding =
         measured_generated_ > measured_delivered_ + measured_lost_;
     if (drain_mode && !outstanding) break;
-    // The watchdog's detection cycle: where the cycle core's post-step
-    // check first counts `stall_after` silent cycles. Activity at or
-    // past it never runs — the stall wins the tie. `outstanding` cannot
-    // change over a skipped span (injection and delivery are activity),
-    // so gating the cutoff on its current value is exact.
+    // The watchdog's detection cycle: where a per-cycle check after each
+    // processed cycle first counts `stall_after` silent cycles. Activity
+    // at or past it never runs — the stall wins the tie. `outstanding`
+    // cannot change over a skipped span (injection and delivery are
+    // activity), so gating the cutoff on its current value is exact.
     std::int64_t stop = end;
-    if (check_stall && outstanding && stall_after != kMax) {
+    if (outstanding && stall_after != kMax) {
       stop = std::min(stop, last_delivery_cycle_ + stall_after);
     }
     const std::int64_t act = next_activity_cycle();
@@ -1273,83 +1134,22 @@ bool Network::advance_event(std::int64_t end, bool check_stall,
       if (has_timeline_) advance_window_gap(cycle_, target);
       cycle_ = target;
     }
-    // The watchdog's detection cycle wins its tie with activity — the
-    // cycle core's post-step check fires before the next step runs.
-    if (check_stall && outstanding &&
-        cycle_ - last_delivery_cycle_ >= stall_after) {
+    if (outstanding && cycle_ - last_delivery_cycle_ >= stall_after) {
       stalled_ = true;
-      return false;
+      return;
     }
     // Phase boundary: activity scheduled exactly at `end` belongs to
-    // the next phase (the cycle core processes cycle `end` under the
-    // next phase's flags), and a span cut short by the watchdog stop
-    // leaves cycle_ < act with nothing to process yet.
+    // the next phase (processed under the next phase's flags), and a
+    // span cut short by the watchdog stop leaves cycle_ < act with
+    // nothing to process yet.
     if (cycle_ >= end || cycle_ < act) break;
-    process_event_cycle();
-    if (check_stall &&
-        measured_generated_ > measured_delivered_ + measured_lost_ &&
+    process_cycle(cycle_mode);
+    if (measured_generated_ > measured_delivered_ + measured_lost_ &&
         cycle_ - last_delivery_cycle_ >= stall_after) {
       stalled_ = true;
-      return false;
+      return;
     }
   }
-  return true;
-}
-
-void Network::run_phases_event() {
-  using clock = std::chrono::steady_clock;
-  const auto seconds_since = [](clock::time_point from,
-                                clock::time_point to) {
-    return std::chrono::duration<double>(to - from).count();
-  };
-  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
-
-  // Resync the agenda from live queue state: run_phases may follow
-  // direct step() calls (which use the cycle allocator and leave the
-  // agenda stale); after construction or reset() this scan is a no-op.
-  const int n = graph_.num_vertices();
-  std::fill(in_nonempty_.begin(), in_nonempty_.end(), 0);
-  for (std::size_t c = 0; c < channel_target_.size(); ++c) {
-    if (vc_nonempty_[c] != 0) {
-      in_nonempty_[static_cast<std::size_t>(channel_target_[c])] |=
-          1ULL << channel_in_bit_[c];
-    }
-  }
-  for (int v = 0; v < n; ++v) {
-    if (router_backlog_[static_cast<std::size_t>(v)] != 0) {
-      wake_now_[static_cast<std::size_t>(v) >> 6] |=
-          1ULL << (static_cast<unsigned>(v) & 63);
-    }
-  }
-
-  const auto phase0 = clock::now();
-  advance_event(cycle_ + config_.warmup_cycles, false, false, kMax);
-  const auto phase1 = clock::now();
-  warmup_seconds_ = seconds_since(phase0, phase1);
-
-  // Same watchdog threshold selection as the cycle core.
-  std::int64_t stall_after = kMax;
-  if (config_.stall_cycles > 0) {
-    stall_after = config_.stall_cycles;
-  } else if (config_.stall_cycles == 0 && config_.drain_cycles > 0) {
-    stall_after = config_.drain_cycles;
-  }
-
-  measuring_ = true;
-  measure_start_ = cycle_;
-  measure_end_ = cycle_ + config_.measure_cycles;
-  last_delivery_cycle_ = cycle_;
-  advance_event(measure_end_, true, false, stall_after);
-  measuring_ = false;
-  const auto phase2 = clock::now();
-  measure_seconds_ = seconds_since(phase1, phase2);
-
-  last_delivery_cycle_ = std::max(last_delivery_cycle_, cycle_);
-  if (!stalled_) {
-    advance_event(cycle_ + config_.drain_cycles, true, true, stall_after);
-  }
-  drain_seconds_ = seconds_since(phase2, clock::now());
-  if (telemetry_) telemetry_->flush_trace();
 }
 
 void Network::wl_reset() {
@@ -1416,40 +1216,9 @@ void Network::wl_process_due(int t) {
     schedule_terminal(t, at);
     return;
   }
-  int id;
-  if (free_packets_.empty()) {
-    id = static_cast<int>(packets_.size());
-    packets_.emplace_back();
-  } else {
-    id = free_packets_.back();
-    free_packets_.pop_back();
-    packets_[static_cast<std::size_t>(id)] = Packet{};
-  }
-  util::Rng& rng = terminal_rng_[ti];
-  Packet& packet = packets_[static_cast<std::size_t>(id)];
-  packet.src_router = terminals_[ti];
-  packet.dst_terminal = msg.dst;
+  Packet& packet = inject_packet(t, msg.dst);
   packet.src_terminal = t;
   packet.wl_phase = phase;
-  packet.subvc =
-      static_cast<int>(rng.below(static_cast<std::uint64_t>(subvcs_)));
-  packet.birth = cycle_;
-  packet.ready = std::max(cycle_, terminal_inject_free_[ti]);
-  terminal_inject_free_[ti] = packet.ready + config_.packet_size;
-  packet.measured = measuring_;
-  if (packet.measured) ++measured_generated_;
-  injection_pool_[static_cast<std::size_t>(packet.src_router)].push_back(id);
-  backlog_inc(packet.src_router);
-  if (event_mode_) wake_router(packet.src_router, cycle_);
-  if (telemetry_) {
-    telemetry_->on_backlog(
-        packet.src_router,
-        router_backlog_[static_cast<std::size_t>(packet.src_router)]);
-    if (telemetry_->tracing() && telemetry_->sample(t, packet.birth)) {
-      packet.trace_id = telemetry_->assign_trace_id();
-      trace_inject(packet, t);
-    }
-  }
   ++wl_unacked_[ti];
   wl_next_ok_[ti] = cycle_ + wl_pace_;
   if (++wl_sent_[ti] >= msg.packets) {
@@ -1519,144 +1288,43 @@ void Network::wl_on_lost(const Packet& packet) {
   wl_on_delivery(packet);
 }
 
-void Network::run_phases_workload() {
-  using clock = std::chrono::steady_clock;
-  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
-  const auto t0 = clock::now();
-
-  // The whole run is one measured window: every packet is application
-  // traffic, and completion time is the headline statistic.
-  measuring_ = true;
-  measure_start_ = 0;
-  measure_end_ = kMax;
-  last_delivery_cycle_ = cycle_;
-  std::int64_t stall_after = kMax;
-  if (config_.stall_cycles > 0) {
-    stall_after = config_.stall_cycles;
-  } else if (config_.stall_cycles == 0 && config_.drain_cycles > 0) {
-    stall_after = config_.drain_cycles;
-  }
-  const std::int64_t budget = static_cast<std::int64_t>(config_.warmup_cycles) +
-                              config_.measure_cycles + config_.drain_cycles;
-
-  if (event_mode_) {
-    // Same agenda resync as run_phases_event: direct step() calls may
-    // have preceded us; after reset() this is a no-op.
-    const int n = graph_.num_vertices();
-    std::fill(in_nonempty_.begin(), in_nonempty_.end(), 0);
-    for (std::size_t c = 0; c < channel_target_.size(); ++c) {
-      if (vc_nonempty_[c] != 0) {
-        in_nonempty_[static_cast<std::size_t>(channel_target_[c])] |=
-            1ULL << channel_in_bit_[c];
-      }
-    }
-    for (int v = 0; v < n; ++v) {
-      if (router_backlog_[static_cast<std::size_t>(v)] != 0) {
-        wake_now_[static_cast<std::size_t>(v) >> 6] |=
-            1ULL << (static_cast<unsigned>(v) & 63);
-      }
-    }
-    while (!wl_done_ && cycle_ < budget) {
-      const bool outstanding =
-          measured_generated_ > measured_delivered_ + measured_lost_;
-      std::int64_t stop = budget;
-      if (outstanding && stall_after != kMax) {
-        stop = std::min(stop, last_delivery_cycle_ + stall_after);
-      }
-      const std::int64_t act = next_activity_cycle();
-      const std::int64_t target = std::min(act, stop);
-      if (target > cycle_) {
-        if (telemetry_) telemetry_->advance_idle(target - cycle_);
-        if (has_timeline_) advance_window_gap(cycle_, target);
-        cycle_ = target;
-      }
-      if (outstanding && cycle_ - last_delivery_cycle_ >= stall_after) {
-        stalled_ = true;
-        break;
-      }
-      if (cycle_ >= budget || cycle_ < act) break;
-      process_event_cycle();
-      if (measured_generated_ > measured_delivered_ + measured_lost_ &&
-          cycle_ - last_delivery_cycle_ >= stall_after) {
-        stalled_ = true;
-        break;
-      }
-    }
-  } else {
-    while (!wl_done_ && cycle_ < budget) {
-      step();
-      if (measured_generated_ > measured_delivered_ + measured_lost_ &&
-          cycle_ - last_delivery_cycle_ >= stall_after) {
-        stalled_ = true;
-        break;
-      }
-    }
-  }
-  measuring_ = false;
-  measure_seconds_ =
-      std::chrono::duration<double>(clock::now() - t0).count();
-  if (telemetry_) telemetry_->flush_trace();
-}
-
 void Network::run_phases() {
-  if (workload_mode_) {
-    run_phases_workload();
-    return;
-  }
-  if (event_mode_) {
-    run_phases_event();
-    return;
-  }
   using clock = std::chrono::steady_clock;
   const auto seconds_since = [](clock::time_point from, clock::time_point to) {
     return std::chrono::duration<double>(to - from).count();
   };
   const auto phase0 = clock::now();
-  for (int i = 0; i < config_.warmup_cycles; ++i) step();
+  if (workload_mode_) {
+    // The whole run is one measured window: every packet is application
+    // traffic, and completion time is the headline statistic.
+    measuring_ = true;
+    measure_start_ = 0;
+    measure_end_ = std::numeric_limits<std::int64_t>::max();
+    last_delivery_cycle_ = cycle_;
+    advance(static_cast<std::int64_t>(config_.warmup_cycles) +
+                config_.measure_cycles + config_.drain_cycles,
+            true, false);
+    measuring_ = false;
+    measure_seconds_ = seconds_since(phase0, clock::now());
+    if (telemetry_) telemetry_->flush_trace();
+    return;
+  }
+  advance(cycle_ + config_.warmup_cycles, false, false);
   const auto phase1 = clock::now();
   warmup_seconds_ = seconds_since(phase0, phase1);
-
-  // Progress watchdog: a damaged (or pathologically congested) run that
-  // stops delivering while measured packets are outstanding terminates
-  // with stalled() = true instead of spinning out the full schedule. The
-  // default threshold (drain_cycles of silence, re-armed per phase) can
-  // only fire on a run whose entire drain budget passed without a single
-  // delivery — it never perturbs a run the old schedule completed.
-  std::int64_t stall_after = std::numeric_limits<std::int64_t>::max();
-  if (config_.stall_cycles > 0) {
-    stall_after = config_.stall_cycles;
-  } else if (config_.stall_cycles == 0 && config_.drain_cycles > 0) {
-    stall_after = config_.drain_cycles;
-  }
-  const auto is_stalled = [&] {
-    return measured_generated_ > measured_delivered_ + measured_lost_ &&
-           cycle_ - last_delivery_cycle_ >= stall_after;
-  };
 
   measuring_ = true;
   measure_start_ = cycle_;
   measure_end_ = cycle_ + config_.measure_cycles;
   last_delivery_cycle_ = cycle_;
-  for (int i = 0; i < config_.measure_cycles; ++i) {
-    step();
-    if (is_stalled()) {
-      stalled_ = true;
-      break;
-    }
-  }
+  advance(measure_end_, true, false);
   measuring_ = false;
   const auto phase2 = clock::now();
   measure_seconds_ = seconds_since(phase1, phase2);
 
   // Drain until every measured packet is delivered or accounted lost.
   last_delivery_cycle_ = std::max(last_delivery_cycle_, cycle_);
-  for (int i = 0;
-       !stalled_ && i < config_.drain_cycles &&
-       measured_delivered_ + measured_lost_ < measured_generated_;
-       ++i) {
-    step();
-    if (is_stalled()) stalled_ = true;
-  }
+  if (!stalled_) advance(cycle_ + config_.drain_cycles, true, true);
   drain_seconds_ = seconds_since(phase2, clock::now());
   if (telemetry_) telemetry_->flush_trace();
 }

@@ -28,11 +28,8 @@
 // next-injection time sampled in closed form from the geometric
 // inter-arrival distribution of the Bernoulli(load/packet_size) process,
 // and a min-heap of (time, terminal) wakes exactly the terminals due
-// this cycle — O(arrivals log T) per cycle instead of the former
-// O(terminals) Bernoulli scan. The per-terminal streams make the
-// process independent of wakeup order; SimConfig::scan_injection selects
-// a reference O(terminals) scan of the same schedule that is bit-
-// identical to the heap (tested) and exists only for that test.
+// this cycle, O(arrivals log T) per cycle. The per-terminal streams make
+// the process independent of wakeup order.
 #pragma once
 
 #include <algorithm>
@@ -97,17 +94,17 @@ struct DegradationStats {
   std::vector<std::int64_t> reconvergence;
 };
 
-/// Which core executes run_phases(). Both cores simulate the identical
-/// model and produce bit-identical statistics (gated in CI at rtol 0):
+/// How run_phases() schedules the one simulator core. Both engines run
+/// the same driver and allocator and produce bit-identical statistics
+/// (gated in CI at rtol 0):
 ///   - Event: a global (cycle, router) agenda wakes a router only when
 ///     something can change for it (packet arrival, credit return,
 ///     injection, fault event); cycles with an empty agenda are skipped
 ///     wholesale, with telemetry windows and the fault recovery window
 ///     advanced over the gap in bulk.
-///   - Cycle: the reference core; step() advances every backlogged
-///     router each cycle.
-/// The event core needs one agenda bit per incoming channel and falls
-/// back to the cycle core on routers with in-degree > 64.
+///   - Cycle: the same driver with idle skipping and sleeping turned
+///     off: every cycle is processed and wakes every backlogged router.
+///     It is the reference that shows skipping and sleeping are exact.
 enum class SimEngine { Event, Cycle };
 
 /// "event" / "cycle" (suite key config.engine, pf_sim --engine).
@@ -125,17 +122,6 @@ struct SimConfig {
   std::uint64_t seed = 42;
   /// Simulator core for run_phases(); bit-identical either way.
   SimEngine engine = SimEngine::Event;
-  /// Force the linear-walk injection path regardless of load (reset()
-  /// otherwise picks walk vs heap by arrival density). Bit-identical
-  /// either way; the equivalence test sets it to pin the walk against a
-  /// heap-chosen twin. Not part of any serialized schema.
-  bool scan_injection = false;
-  /// Use the full O(network) state rebuild in reset() instead of the
-  /// default incremental path that only touches state dirtied since the
-  /// last run. Bit-identical either way; exists as the reference
-  /// implementation for the equivalence tests and as the "before" side
-  /// of bench/micro_reset. Not part of any serialized schema.
-  bool full_rebuild_reset = false;
   /// Progress watchdog: during measure/drain, if no packet is delivered
   /// for this many cycles while measured packets are outstanding, the
   /// run terminates with stalled() = true instead of spinning. 0 picks
@@ -193,8 +179,7 @@ class Network {
   /// one, without rebuilding the channel indexing. Cost is O(state
   /// touched since the last reset), not O(network): per-channel and
   /// per-router state is cleared off dirty lists and the injection
-  /// schedule is restored from construction-time RNG snapshots
-  /// (config.full_rebuild_reset selects the reference full rebuild).
+  /// schedule is restored from construction-time RNG snapshots.
   void reset(double load);
 
   /// The congestion adaptive routing reads for link u -> v: flits
@@ -219,7 +204,9 @@ class Network {
   /// so normalizing by the whole port would never read "congested").
   double first_hop_occupancy(int u, int v) const;
 
-  /// Advances one cycle.
+  /// Advances one cycle in cycle mode (every backlogged router is
+  /// visited). The agenda stays consistent, so run_phases() may follow
+  /// under either engine.
   void step();
 
   /// Runs the standard warmup / measure / drain schedule.
@@ -326,27 +313,29 @@ class Network {
                static_cast<std::size_t>(vcs_used_) +
            static_cast<std::size_t>(vc);
   }
+  /// Word and bit of channel c in its target router's in_nonempty_ span.
+  std::size_t in_word(std::size_t c) const {
+    return static_cast<std::size_t>(channel_target_[c]) * in_words_ +
+           static_cast<std::size_t>(channel_in_bit_[c] >> 6);
+  }
+  std::uint64_t in_bit(std::size_t c) const {
+    return 1ULL << (channel_in_bit_[c] & 63);
+  }
   void reset_state();
-  /// Reference injection-schedule rebuild: reconstructs every terminal
-  /// RNG stream from its seed and samples the first gap per terminal.
-  void reset_injection_full();
-  /// Incremental twin: restores the pre-captured post-first-draw RNG
-  /// states and derives each first wakeup in closed form from the
-  /// captured log1p(-u) — the draw itself is load-independent, only the
-  /// denominator log1p(-p) changes per reset. Bit-identical to the full
-  /// rebuild (the heap is refilled by make_heap; pop order from a
-  /// min-heap of distinct (time, terminal) pairs depends only on its
-  /// contents, never its layout).
-  void reset_injection_fast();
-  /// Reference O(network) array clear.
-  void reset_arrays_full();
+  /// Rebuilds the injection schedule: restores the pre-captured
+  /// post-first-draw RNG states and derives each first wakeup in closed
+  /// form from the captured log1p(-u) — the draw itself is
+  /// load-independent, only the denominator log1p(-p) changes per reset.
+  /// The heap is refilled by make_heap; pop order from a min-heap of
+  /// distinct (time, terminal) pairs depends only on its contents, never
+  /// its layout.
+  void reset_injection();
   /// Clears only channels/routers on the dirty lists (state touched
   /// since the previous reset) — O(touched), not O(network).
-  void reset_arrays_fast();
-  /// Scalars, measurement, telemetry, and fault-residue reset shared by
-  /// both paths.
+  void reset_arrays();
+  /// Scalars, measurement, telemetry, and fault-residue reset.
   void reset_scalars();
-  /// First-touch dirty tracking feeding reset_arrays_fast. The byte
+  /// First-touch dirty tracking feeding reset_arrays. The byte
   /// flags make re-marking free; the lists bound the clear cost.
   void mark_channel(std::size_t c) {
     if (!channel_dirty_[c]) {
@@ -381,42 +370,46 @@ class Network {
   /// Handles terminal t's due injection: inject (or defer while the
   /// source queue is over its backlog cap) and schedule the next wakeup.
   void process_due_terminal(int t);
+  /// Queues a new packet from terminal t to `dst_terminal` at t's router
+  /// (sub-VC drawn from t's stream) and wakes the router.
+  Packet& inject_packet(int t, int dst_terminal);
   void schedule_terminal(int t, std::int64_t at);
+  /// Switch allocation at router v: its non-empty input channels in
+  /// rotating-priority order, then its injection pool.
   void allocate_router(int v);
-  /// Shared allocator body; kEvent additionally maintains the agenda
-  /// (credit wakeups, in-channel masks, dirty/hint rearm inputs).
-  template <bool kEvent>
-  void allocate_router_impl(int v);
   /// Drains one input channel: highest-VC-first grant attempts against
   /// the rotating-priority snapshot, popping every winner.
-  template <bool kEvent>
   void drain_channel(int v, int channel);
   bool try_dispatch(int packet_id, int at_router);  ///< grant check + move
   void eject(int packet_id);
   void release_packet(int packet_id);
 
-  // --- event core (engine = event; see run_phases_event) ---
+  // --- agenda and phase driver ---
   /// Schedules router v to be examined at cycle `at` (clamped to now).
   void wake_router(int v, std::int64_t at);
   /// Earliest cycle at which anything can happen: a due wake bit, the
   /// agenda heap top, the injection heap top, or the next fault event.
+  /// Always cycle_ under engine = cycle, which never skips.
   std::int64_t next_activity_cycle() const;
-  /// Runs all due work for cycle_ and advances it by one.
-  void process_event_cycle();
-  /// Event-core phase driver: advances to `end`, skipping idle spans
-  /// wholesale. Mirrors the cycle core's per-phase loop semantics
-  /// exactly (stall detection after each processed/skipped cycle,
-  /// drain early-exit before each). Returns false when the stall
-  /// watchdog fired.
-  bool advance_event(std::int64_t end, bool check_stall, bool drain_mode,
-                     std::int64_t stall_after);
-  void run_phases_event();
+  /// Runs all due work for cycle_ and advances it by one. `wake_all`
+  /// (cycle mode) first wakes every backlogged router.
+  void process_cycle(bool wake_all);
+  /// The one phase driver, for both engines and workload mode: advances
+  /// to `end` (or until the workload completes), skipping idle spans
+  /// wholesale under engine = event. `check_stall` arms the progress
+  /// watchdog, which sets stalled() and stops the run; `drain_mode`
+  /// stops as soon as no measured packet is outstanding.
+  void advance(std::int64_t end, bool check_stall, bool drain_mode);
   /// Bulk-advances the fault recovery window over skipped cycles
   /// [from, to): feeds the final processed cycle's ejection delta at
   /// `from` (where recovery can settle) and zero-fills the rest.
   void advance_window_gap(std::int64_t from, std::int64_t to);
 
   // --- runtime-fault machinery (all no-ops when has_timeline_ is false) ---
+  /// Feeds the ejections since the last call into cycle `at`'s slot of
+  /// the delivered-flit window and settles the reconvergence clocks
+  /// that re-entered their band.
+  void feed_recovery_window(std::int64_t at);
   /// Applies events due this cycle and updates recovery tracking.
   /// True when at least one topology event was applied (the event core
   /// then wakes every backlogged router: any queued packet may need a
@@ -460,8 +453,6 @@ class Network {
   /// Delivery bookkeeping shared by eject: receive + ack counters, then
   /// phase advancement for receiver and sender.
   void wl_on_delivery(const Packet& packet);
-  /// Workload-mode run_phases body (both engines, identical schedules).
-  void run_phases_workload();
 
   // --- telemetry/trace helpers (no-ops unless telemetry_ is live) ---
   /// Maps a directed channel id back to its (upstream, downstream) pair.
@@ -508,14 +499,9 @@ class Network {
   std::vector<std::int64_t> terminal_inject_free_;
 
   // Event-driven injection: per-terminal RNG streams (destination and
-  // sub-VC draws included, so wakeup order cannot perturb the process),
-  // the next injection time per terminal, and the (time, terminal)
-  // min-heap that wakes due terminals. Both wakeup structures walk the
-  // same schedule and are bit-identical; reset() picks the heap when
-  // arrivals are sparse (low load) and the linear walk when dense —
-  // scan_mode_ is pure mechanics, never statistics.
+  // sub-VC draws included, so wakeup order cannot perturb the process)
+  // and the (time, terminal) min-heap that wakes due terminals.
   std::vector<util::Rng> terminal_rng_;
-  std::vector<std::int64_t> next_inject_;
   std::vector<std::pair<std::int64_t, int>> inject_heap_;
   // Construction-time capture for the incremental reset: the fresh
   // per-terminal RNG states (inj_snap0_), the states after the one
@@ -526,25 +512,26 @@ class Network {
   std::vector<util::Rng> inj_snap0_;
   std::vector<util::Rng> inj_snap1_;
   std::vector<double> inj_log1m_u_;
-  bool scan_mode_ = false;
   /// Hoisted denominator of injection_gap's inverse-CDF sample,
   /// log1p(-load/packet_size); the division itself is untouched so the
   /// sampled gaps stay bit-identical to the unhoisted form.
   double inj_log1m_p_ = 0.0;
 
-  // Event core (engine = event). A two-level agenda: bitmasks over
-  // routers for wakes due this cycle / next cycle (the overwhelmingly
-  // common cases: O(routers/64) per cycle, ascending router order for
-  // free), and a (cycle, router) min-heap for far-future hints with a
-  // per-router tag suppressing exact-duplicate pushes. Deterministic by
-  // construction: each cycle's due set is drained in ascending router
-  // id, and same-cycle wakes only ever target routers after the cursor.
-  bool event_mode_ = false;  ///< engine == Event && max in-degree <= 64
+  // The agenda. Two levels: bitmasks over routers for wakes due this
+  // cycle / next cycle (the overwhelmingly common cases: O(routers/64)
+  // per cycle, ascending router order for free), and a (cycle, router)
+  // min-heap for far-future hints with a per-router tag suppressing
+  // exact-duplicate pushes. Deterministic by construction: each cycle's
+  // due set is drained in ascending router id, and same-cycle wakes only
+  // ever target routers after the cursor.
   std::vector<std::int32_t> channel_source_;  ///< channel -> upstream
-  /// channel -> its bit in the target router's in_nonempty_ mask
-  /// (its index in in_channels_[target]); valid only in event mode.
-  std::vector<std::uint8_t> channel_in_bit_;
-  std::vector<std::uint64_t> in_nonempty_;  ///< per router, event mode
+  /// channel -> its bit in the target router's in_nonempty_ span (its
+  /// index in in_channels_[target]).
+  std::vector<std::int32_t> channel_in_bit_;
+  /// Per router, in_words_ words with one bit per incoming channel that
+  /// holds packets; in_words_ = ceil(max in-degree / 64), at least 1.
+  std::vector<std::uint64_t> in_nonempty_;
+  std::size_t in_words_ = 1;
   std::vector<std::uint64_t> wake_now_;     ///< due at cycle_
   std::vector<std::uint64_t> wake_next_;    ///< due at cycle_ + 1
   std::vector<std::pair<std::int64_t, std::int32_t>> agenda_;  ///< far wakes
@@ -575,25 +562,25 @@ class Network {
 
   std::vector<std::vector<int>> injection_pool_;  ///< per router
   /// Packets queued at each router (VC rings + injection pool); routers
-  /// at zero are skipped by step() — the active-router worklist.
+  /// at zero are never visited — the active-router worklist.
   std::vector<int> router_backlog_;
   /// Routers with backlog > 0 right now. Above kSaturatedNum/Den of the
-  /// network the event core stops paying heap churn for far wakes and
-  /// polls via the next-cycle bitmask instead: an early visit of a
-  /// blocked router is a no-op that draws no RNG (every action in the
-  /// allocator is state/cycle-gated, exactly like the cycle core's
-  /// unconditional per-cycle visits), so the conversion is exact.
+  /// network the agenda stops paying heap churn for far wakes and polls
+  /// via the next-cycle bitmask instead: an early visit of a blocked
+  /// router is a no-op that draws no RNG (every action in the allocator
+  /// is state/cycle-gated, exactly like cycle mode's per-cycle visits of
+  /// every backlogged router), so the conversion is exact.
   int active_routers_ = 0;
   static constexpr int kSaturatedNum = 3;  ///< fast path at >= 3/4 active
   static constexpr int kSaturatedDen = 4;
-  /// reset_arrays_fast switches from per-dirty-channel clears to the
+  /// reset_arrays switches from per-dirty-channel clears to the
   /// contiguous full-array fills once more than 1/kBulkClearDiv of the
   /// channels are dirty (scattered stores lose to fill bandwidth there).
   static constexpr std::size_t kBulkClearDiv = 8;
 
   // Dirty tracking for the incremental reset: channels that ever held or
   // reserved a packet and routers that ever had backlog since the last
-  // reset. reset_arrays_fast clears exactly these.
+  // reset. reset_arrays clears exactly these.
   std::vector<std::int32_t> dirty_channels_;
   std::vector<char> channel_dirty_;
   std::vector<int> dirty_routers_;
