@@ -1,8 +1,8 @@
 // pf_sim — run the flit-level network simulator from the command line:
 // one topology, one routing algorithm, one traffic pattern, one load, a
 // whole latency-vs-load sweep, an adaptive saturation search — or a whole
-// declarative scenario suite. The CLI twin of the figure benches, driving
-// the same src/exp engine.
+// declarative scenario suite (the paper's sweep figures are the entries
+// of suites/paper_figs.json), all driven by the src/exp engine.
 //
 //   pf_sim --topology pf --q 13 --routing UGALPF --pattern uniform
 //          --loads 0.1:1.0:8 [--endpoints P] [--packet-size 4] [--vcs 16]

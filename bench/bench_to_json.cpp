@@ -1,7 +1,8 @@
-// bench_to_json — aggregate the per-binary --json outputs into one
+// bench_to_json — aggregate per-binary --json outputs (pf_sim and
+// pf_sim suite records, Google Benchmark documents) into one
 // BENCH_*.json trajectory document:
 //
-//   bench_to_json --out BENCH_all.json fig08.json fig10.json ...
+//   bench_to_json --out BENCH_all.json paper_figs.json micro.json ...
 //
 // polarfly-run/1 inputs are parsed record by record (the util/json
 // reader) and re-emitted per file with identical run keys deduplicated

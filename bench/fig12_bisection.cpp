@@ -6,12 +6,14 @@
 #include <cstdio>
 
 #include "common.hpp"
+#include "core/polarfly.hpp"
 #include "graph/partition.hpp"
 #include "topo/dragonfly.hpp"
 #include "topo/fattree.hpp"
 #include "topo/hyperx.hpp"
 #include "topo/jellyfish.hpp"
 #include "topo/slimfly.hpp"
+#include "util/table.hpp"
 
 namespace {
 

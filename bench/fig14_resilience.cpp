@@ -9,8 +9,10 @@
 #include <cstdio>
 
 #include "common.hpp"
+#include "exp/scenario.hpp"
 #include "graph/algos.hpp"
 #include "util/parallel.hpp"
+#include "util/table.hpp"
 
 namespace {
 
@@ -42,7 +44,7 @@ double disconnection_ratio(const graph::Graph& g, std::uint64_t seed) {
 int main() {
   using namespace pf;
   const int runs = bench::full_scale() ? 100 : 12;
-  const auto setups = bench::make_table5_setups();
+  const auto setups = exp::make_table5_setups(bench::full_scale());
   std::printf("runs per topology: %d\n", runs);
 
   const auto run_seed = [](int r) {

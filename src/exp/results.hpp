@@ -1,7 +1,7 @@
 // The results layer: serializes RunRecords as JSON (schema
-// "polarfly-run/1", see README "Experiment engine") so every bench and
-// pf_sim can emit machine-readable output via --json <path>, and
-// bench_to_json can aggregate the per-binary files into one trajectory.
+// "polarfly-run/1", see README "Experiment engine") so pf_sim can emit
+// machine-readable output via --json <path>, and bench_to_json can
+// aggregate the per-binary files into one trajectory.
 #pragma once
 
 #include <string>
@@ -101,7 +101,7 @@ std::vector<RunRecord> load_checkpoint(const std::string& path);
 /// when every number moved.
 std::string record_key(const RunRecord& record);
 
-/// Collects the records a binary produces and handles its --json flag.
+/// Collects the records a run produces and handles its --json flag.
 class ResultLog {
  public:
   void add(RunRecord record) { records_.push_back(std::move(record)); }
@@ -116,7 +116,7 @@ class ResultLog {
   std::vector<RunRecord> records_;
 };
 
-/// Shared tail of every sweep binary's main(): write --json if requested,
+/// Shared tail of pf_sim's sweep and suite paths: write --json if requested,
 /// warn about unused flags, and turn I/O failures into a nonzero exit.
 int finish(const util::CliArgs& args, const ResultLog& log,
            const std::string& tool);

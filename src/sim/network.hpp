@@ -1,7 +1,8 @@
 // The cycle-level network simulator: input-queued virtual-channel
 // routers in virtual cut-through mode with credit-based backpressure and
 // a single-stage rotating-priority allocator (the extra sub-VCs of the
-// bench configs compensate for the single stage; see bench/common.hpp).
+// paper suites' configs, vcs=16 in suites/paper_figs.json, compensate for
+// the single stage).
 //
 // Model per cycle:
 //   - each endpoint Bernoulli-generates packets at the offered load and
@@ -241,10 +242,6 @@ class Network {
   /// percentiles, link/VC time series, peak backlog). Empty block when
   /// telemetry is off.
   PointTelemetry collect_telemetry() const;
-  /// The measured per-packet latency sample (delivery order).
-  const std::vector<std::int64_t>& measured_latencies() const {
-    return latencies_;
-  }
   /// Wall-clock spent in each phase of the last run_phases() call.
   double warmup_seconds() const { return warmup_seconds_; }
   double measure_seconds() const { return measure_seconds_; }

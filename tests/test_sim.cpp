@@ -3,16 +3,20 @@
 // latency/throughput sanity at low load.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
 
 #include "core/polarfly.hpp"
+#include "exp/engine.hpp"
+#include "exp/scenario.hpp"
 #include "graph/algos.hpp"
 #include "sim/deadlock.hpp"
 #include "sim/harness.hpp"
 #include "sim/network.hpp"
 #include "sim/routing.hpp"
+#include "sim/telemetry.hpp"
 #include "sim/traffic.hpp"
 #include "topo/fattree.hpp"
 #include "topo/hyperx.hpp"
@@ -339,8 +343,9 @@ TEST(Simulator, LowLoadDelivers) {
 }
 
 TEST(Simulator, SweepFindsSaturation) {
-  PfFixture fx;
-  const sim::MinimalRouting routing(fx.pf.graph(), fx.oracle);
+  const exp::NetSetup setup = exp::make_polarfly_setup(5, 3);
+  const auto routing = exp::make_routing(setup, "MIN");
+  const auto pattern = exp::make_pattern(setup, "uniform", 0);
   sim::SimConfig config;
   config.warmup_cycles = 200;
   config.measure_cycles = 400;
@@ -348,8 +353,8 @@ TEST(Simulator, SweepFindsSaturation) {
   const auto loads = sim::load_steps(0.2, 1.0, 3);
   ASSERT_EQ(loads.size(), 3u);
   EXPECT_NEAR(loads[1], 0.6, 1e-12);
-  const auto sweep = sim::sweep_loads(fx.pf.graph(), fx.endpoints, routing,
-                                      fx.pattern, config, loads, "test");
+  const exp::RunRecord sweep =
+      exp::run_sweep(setup, *routing, *pattern, config, loads, "test");
   ASSERT_EQ(sweep.points.size(), 3u);
   EXPECT_GT(sweep.saturation(), 0.15);
   for (const auto& point : sweep.points) {
@@ -436,15 +441,90 @@ void expect_same_run(const RunDigest& a, const RunDigest& b,
   EXPECT_EQ(a.stalled, b.stalled) << what;
 }
 
+/// `config` tracing every packet from cycle 0 into `sink`. The trace
+/// stamps each inject, route, hop and delivery with its cycle, warmup
+/// included, so two traces are byte-equal only if the two runs moved
+/// every packet on the same cycles — the measure-window statistics alone
+/// cannot see a schedule fault that the warmup absorbs.
+sim::SimConfig traced(sim::SimConfig config, sim::TraceSink& sink) {
+  config.telemetry.enabled = true;
+  config.telemetry.trace = &sink;
+  config.telemetry.trace_sample = 1.0;
+  return config;
+}
+
+/// Expects the trace to have stayed under the event cap: a truncated
+/// trace would stop comparing where the cap cut it.
+void expect_trace_complete(const std::string& trace,
+                           const sim::SimConfig& config,
+                           const std::string& what) {
+  EXPECT_FALSE(trace.empty()) << what;
+  EXPECT_LT(std::count(trace.begin(), trace.end(), '\n'),
+            config.telemetry.trace_max_events)
+      << what;
+}
+
+/// Byte-compares two traces; on a mismatch reports the first line that
+/// differs instead of dumping megabytes of JSONL.
+void expect_same_trace(const std::string& a, const std::string& b,
+                       const std::string& what) {
+  if (a == b) return;
+  std::size_t at = 0;
+  while (at < a.size() && at < b.size() && a[at] == b[at]) ++at;
+  const std::size_t newline =
+      at == 0 ? std::string::npos : a.rfind('\n', at - 1);
+  const std::size_t line_start = newline == std::string::npos ? 0 : newline + 1;
+  const auto line = [line_start](const std::string& s) {
+    return line_start >= s.size()
+               ? std::string("<end of trace>")
+               : s.substr(line_start, s.find('\n', line_start) - line_start);
+  };
+  const auto line_number =
+      std::count(a.begin(),
+                 a.begin() + static_cast<std::ptrdiff_t>(line_start), '\n') +
+      1;
+  ADD_FAILURE() << what << ": traces diverge at line " << line_number
+                << "\n  " << line(a) << "\n  " << line(b);
+}
+
+/// `trace` with every packet id shifted down by its first one. A reused
+/// network keeps numbering traced packets across reset() (a sweep traces
+/// all its points into one stream); a fresh network starts at 0. With
+/// every packet sampled, the first line is the first packet's inject.
+std::string rebase_packet_ids(const std::string& trace) {
+  static const std::string key = "\"packet\":";
+  std::string out;
+  out.reserve(trace.size());
+  long long base = -1;
+  std::size_t pos = 0;
+  for (std::size_t at; (at = trace.find(key, pos)) != std::string::npos;) {
+    std::size_t end = at + key.size();
+    const std::size_t digits = end;
+    while (end < trace.size() && trace[end] >= '0' && trace[end] <= '9') {
+      ++end;
+    }
+    const long long id = std::stoll(trace.substr(digits, end - digits));
+    if (base < 0) base = id;
+    out.append(trace, pos, digits - pos);
+    out += std::to_string(id - base);
+    pos = end;
+  }
+  out.append(trace, pos, std::string::npos);
+  return out;
+}
+
 /// Drives one network through a reset+run sequence and expects every
 /// leg to match a freshly constructed network at that leg's load, bit
 /// for bit. The O(touched) reset must be indistinguishable from
-/// construction no matter what the previous run left behind.
+/// construction no matter what the previous run left behind. A second,
+/// traced pass compares every leg's full packet trace with the fresh
+/// network's, so state that only the warmup would absorb shows too.
 void expect_reset_matches_fresh(const PfFixture& fx,
                                 const sim::RoutingAlgorithm& routing,
                                 const sim::TrafficPattern& pattern,
                                 const sim::SimConfig& config,
                                 const std::vector<double>& loads) {
+  const std::string engine = sim::engine_name(config.engine);
   sim::Network reused(fx.pf.graph(), fx.endpoints, routing, pattern, config,
                       loads.front());
   for (std::size_t i = 0; i < loads.size(); ++i) {
@@ -454,10 +534,33 @@ void expect_reset_matches_fresh(const PfFixture& fx,
                        loads[i]);
     fresh.run_phases();
     expect_same_run(digest_of(reused), digest_of(fresh),
-                    std::string(sim::engine_name(config.engine)) + " leg " +
-                        std::to_string(i) + " load " +
+                    engine + " leg " + std::to_string(i) + " load " +
                         std::to_string(loads[i]));
   }
+
+  sim::TraceSink reused_sink;
+  const sim::SimConfig reused_config = traced(config, reused_sink);
+  sim::Network traced_reused(fx.pf.graph(), fx.endpoints, routing, pattern,
+                             reused_config, loads.front());
+  for (std::size_t i = 0; i < loads.size(); ++i) {
+    const std::string what = engine + " traced leg " + std::to_string(i) +
+                             " load " + std::to_string(loads[i]);
+    const std::size_t leg_start = reused_sink.memory().size();
+    if (i > 0) traced_reused.reset(loads[i]);
+    traced_reused.run_phases();
+    sim::TraceSink fresh_sink;
+    const sim::SimConfig fresh_config = traced(config, fresh_sink);
+    sim::Network fresh(fx.pf.graph(), fx.endpoints, routing, pattern,
+                       fresh_config, loads[i]);
+    fresh.run_phases();
+    expect_trace_complete(fresh_sink.memory(), fresh_config, what);
+    expect_same_trace(
+        rebase_packet_ids(reused_sink.memory().substr(leg_start)),
+        fresh_sink.memory(), what);
+  }
+  // The cap counts events over the reused network's whole life.
+  expect_trace_complete(reused_sink.memory(), reused_config,
+                        engine + " traced reused network");
 }
 
 TEST(Simulator, IncrementalResetMatchesFreshConstructionBothEngines) {
@@ -542,18 +645,44 @@ RunDigest run_engine(const graph::Graph& g, const std::vector<int>& endpoints,
   return digest_of(net);
 }
 
+/// Runs one scenario under the given engine with every packet traced
+/// from cycle 0 and returns the trace.
+std::string trace_engine(const graph::Graph& g,
+                         const std::vector<int>& endpoints,
+                         const sim::RoutingAlgorithm& routing,
+                         const sim::TrafficPattern& pattern,
+                         sim::SimConfig config, sim::SimEngine engine,
+                         double load) {
+  config.engine = engine;
+  sim::TraceSink sink;
+  const sim::SimConfig traced_config = traced(config, sink);
+  sim::Network net(g, endpoints, routing, pattern, traced_config, load);
+  net.run_phases();
+  expect_trace_complete(sink.memory(), traced_config,
+                        std::string(sim::engine_name(engine)) + " load " +
+                            std::to_string(load));
+  return sink.memory();
+}
+
 /// Runs the same scenario under both engines and expects every measured
-/// statistic to match bit for bit.
+/// statistic to match bit for bit, then the full packet traces (warmup
+/// included) to match byte for byte.
 void expect_engines_bit_equal(const graph::Graph& g,
                               const std::vector<int>& endpoints,
                               const sim::RoutingAlgorithm& routing,
                               const sim::TrafficPattern& pattern,
                               const sim::SimConfig& config, double load) {
+  const std::string what = "load " + std::to_string(load);
   expect_same_run(run_engine(g, endpoints, routing, pattern, config,
                              sim::SimEngine::Event, load),
                   run_engine(g, endpoints, routing, pattern, config,
                              sim::SimEngine::Cycle, load),
-                  "load " + std::to_string(load));
+                  what);
+  expect_same_trace(trace_engine(g, endpoints, routing, pattern, config,
+                                 sim::SimEngine::Event, load),
+                    trace_engine(g, endpoints, routing, pattern, config,
+                                 sim::SimEngine::Cycle, load),
+                    "trace, " + what);
 }
 
 TEST(EventEngine, MatchesCycleCoreBitExactly) {

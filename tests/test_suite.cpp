@@ -401,7 +401,7 @@ TEST(SuiteRunner, MatchesDirectEngineOnSmokeSuite) {
 }
 
 TEST(SuiteRunner, FailureSpecReproducesHandRolledDamage) {
-  // The pre-refactor ablation_failed_links construction, by hand ...
+  // The failed-links ablation's damage (seed 0xdead11 + pct), by hand ...
   const std::uint32_t q = 7;
   const int p = 4;
   const int pct = 10;
